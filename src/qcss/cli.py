@@ -5,7 +5,9 @@ checks), bounds (lower bounds and the optimality factor), tables (built-in
 parameter sweeps), profile (per-pair correlation magnitudes as CSV).
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O
-failure. The QCSS_THREADS environment variable caps scan parallelism.
+failure. verify runs the exact engine on clean constructions and the FFT
+engine under --corrupt; the QCSS_THREADS environment variable caps the FFT
+engine's scan parallelism.
 """
 
 from __future__ import annotations
@@ -145,11 +147,15 @@ def _corrupt_member(family: SequenceFamily, k: int, m: int, s: int, t: int) -> S
     return SequenceFamily(n, family.kind, tuple(members), k=family.k)
 
 
-def _parse_corrupt(raw: str) -> tuple[int, int, int, int]:
+def _parse_corrupt(raw: str, n: int, p0: int) -> tuple[int, int, int, int]:
     try:
         k, m, s, t = (int(x) for x in raw.split(","))
     except ValueError:
         raise _ArgError("--corrupt expects four comma-separated integers k,m,s,t") from None
+    if not 1 <= k < p0 or not all(0 <= x < n for x in (m, s, t)):
+        raise _ArgError(
+            f"--corrupt {raw} out of range: need 1 <= k < {p0} and 0 <= m, s, t < {n}"
+        )
     return k, m, s, t
 
 
@@ -207,12 +213,24 @@ def _print_or_json(args, human_lines: list[str], payload: dict) -> None:
 
 def _cmd_verify(args) -> int:
     f = _checked_modulus(args.n)
-    perm, e = _make_perm(f, args.exponent)
     n, p0 = f.n, f.least_prime
-    corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
+    if args.tol is not None and not args.tol >= 0:
+        raise _ArgError(f"--tol must be >= 0, got {args.tol}")
+    corrupt = _parse_corrupt(args.corrupt, n, p0) if args.corrupt else None
+    if corrupt and args.scope == "permutation":
+        raise _ArgError("--corrupt needs a correlation scope: ccc, interset or qcss")
+    workers = correlation.worker_count(args.workers)  # checks QCSS_THREADS on every run
+    perm, e = _make_perm(f, args.exponent)
     lines: list[str] = []
     payload: dict = {"n": n, "p0": p0, "exponent": e, "scope": args.scope}
+    if args.scope != "permutation":
+        # Clean constructions go to the exact engine; a corrupted phase
+        # matrix is no longer built from (N, pi), so it needs the FFT engine.
+        payload["engine"] = "fft" if corrupt else "exact"
     ok = True
+
+    def ccc_family(k: int) -> SequenceFamily:
+        return _corrupt_member(build_ccc(k, perm), *corrupt)
 
     if args.scope == "permutation":
         report = verify_unique_solution(f, perm)
@@ -231,16 +249,17 @@ def _cmd_verify(args) -> int:
     elif args.scope == "ccc":
         payload["families"] = []
         for k in range(1, p0):
-            family = build_ccc(k, perm)
-            if corrupt and corrupt[0] == k:
-                family = _corrupt_member(family, *corrupt)
-            report = correlation.verify_ccc(family, tol=args.tol, workers=args.workers)
+            if corrupt:
+                report = correlation.verify_ccc(ccc_family(k), tol=args.tol, workers=workers)
+            else:
+                report = correlation.verify_ccc_exact(k, perm, tol=args.tol)
             ok = ok and report.ok
             m1, m2, tau = report.argmax
             status = "ok" if report.ok else "FAILED"
             lines.append(
                 f"ccc k={k}: {status} max_deviation={report.max_deviation:.6g} "
-                f"tol={report.tol:.6g} worst=(k={k}, m1={m1}, m2={m2}, tau={tau})"
+                f"tol={report.tol:.6g} worst=(k={k}, m1={m1}, m2={m2}, tau={tau}) "
+                f"engine={report.engine}"
             )
             payload["families"].append(
                 {
@@ -254,20 +273,21 @@ def _cmd_verify(args) -> int:
         payload["ok"] = ok
 
     elif args.scope == "interset":
-        if p0 < 3:
-            raise _ArgError("inter-set checks need at least two families")
         payload["pairs"] = []
         for k1 in range(1, p0):
             for k2 in range(k1 + 1, p0):
-                report = correlation.verify_interset(
-                    build_ccc(k1, perm), build_ccc(k2, perm), tol=args.tol, workers=args.workers
-                )
+                if corrupt:
+                    report = correlation.verify_interset(
+                        ccc_family(k1), ccc_family(k2), tol=args.tol, workers=workers
+                    )
+                else:
+                    report = correlation.verify_interset_exact(k1, k2, perm, tol=args.tol)
                 pair_ok = report.ok and report.dichotomy_ok
                 ok = ok and pair_ok
                 status = "ok" if pair_ok else "FAILED"
                 lines.append(
                     f"interset k1={k1} k2={k2}: {status} max={report.max_magnitude:.6f} "
-                    f"dichotomy_deviation={report.dichotomy_deviation:.6g}"
+                    f"dichotomy_deviation={report.dichotomy_deviation:.6g} engine={report.engine}"
                 )
                 payload["pairs"].append(
                     {
@@ -282,17 +302,19 @@ def _cmd_verify(args) -> int:
         payload["ok"] = ok
 
     else:  # qcss
-        family = build_qcss(f, perm)
-        if corrupt:
-            family = _corrupt_member(family, *corrupt)
         tol = 1e-6 * n if args.tol is None else args.tol
-        report = correlation.delta_max_scan(family, tol=tol, workers=args.workers)
+        if corrupt:
+            family = _corrupt_member(build_qcss(f, perm), *corrupt)
+            report = correlation.delta_max_scan(family, tol=tol, workers=workers)
+        else:
+            report = correlation.delta_max_exact(f, perm, tol=tol)
         ok = abs(report.delta_max - n) <= tol
         u1, u2, tau = report.argmax
         status = "ok" if ok else "FAILED"
         lines.append(
             f"delta_max={report.delta_max:.6f} {status} "
-            f"argmax=(u1={u1}, u2={u2}, tau={tau}) expected={n} tol={tol:.6g}"
+            f"argmax=(u1={u1}, u2={u2}, tau={tau}) expected={n} tol={tol:.6g} "
+            f"engine={report.engine}"
         )
         payload.update(
             {
@@ -409,13 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--scope", choices=["permutation", "ccc", "interset", "qcss"], required=True)
     v.add_argument("--exponent", type=int, default=None)
     v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--workers", type=int, default=None, help="scan threads (default: QCSS_THREADS or 1)")
+    v.add_argument(
+        "--workers", type=int, default=None, help="FFT scan threads (default: QCSS_THREADS or 1)"
+    )
     v.add_argument("--json", action="store_true", help="machine-readable report")
     v.add_argument(
         "--corrupt",
         default=None,
         metavar="K,M,S,T",
-        help="testing aid: add 1 (mod N) to one phase entry before verifying",
+        help="testing aid: add 1 (mod N) to one phase entry, then verify on the FFT engine",
     )
     v.set_defaults(handler=_cmd_verify)
 

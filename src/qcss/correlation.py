@@ -1,9 +1,16 @@
-"""Aperiodic correlation engine and exhaustive family verifiers.
+"""Aperiodic correlation engines and exhaustive family verifiers.
 
 Two routes exist everywhere: a direct per-shift overlap sum (the ground
 truth) and a zero-padded FFT path used by the batched scanners. The FFT
 path is checked against the direct one in the test suite; it never
 replaces it.
+
+Families built from a permutation pi also have an exact engine
+(verify_ccc_exact, verify_interset_exact, delta_max_exact): summing over
+the flock index turns every flock-summed value into an integer identity,
+so it reads results off a partner map instead of scanning spectra. The
+FFT scanners serve arbitrary phase matrices, and the tests hold the two
+engines equal on constructed families.
 
 Scan determinism: families are scanned in fixed chunks of member rows, so
 per-chunk floating-point reductions are identical no matter how many
@@ -22,10 +29,14 @@ import numpy as np
 
 from .codebook import PhaseMatrix, SequenceFamily
 from .errors import (
+    BadFamilyIndexError,
     FamilyMismatchError,
     LengthMismatchError,
+    QcssError,
+    ShapeMismatchError,
     ShiftOutOfRangeError,
 )
+from .modarith import Factorization, Permutation, factorize, partner_map
 
 _ROOT_TABLES: dict[int, np.ndarray] = {}
 
@@ -96,6 +107,7 @@ class CccReport:
     peak_deviation: float         # worst |value - N^2| over the (m, m, 0) peaks
     offpeak_max: float            # largest magnitude outside the peaks
     worst_violation: SetCorrelationViolation | None
+    engine: str = "fft"           # "exact" or "fft"
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,7 @@ class IntersetReport:
     argmax: tuple[int, int, int]  # (m1, m2, tau), tau signed
     dichotomy_ok: bool
     dichotomy_deviation: float    # worst distance to the nearer of {0, N}
+    engine: str = "fft"           # "exact" or "fft"
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,7 @@ class CorrelationReport:
     set_size: int
     tol: float | None = None
     histogram: tuple[np.ndarray, np.ndarray] | None = None  # (counts, bin_edges)
+    engine: str = "fft"           # "exact" or "fft"
 
 
 def aperiodic_xcorr(u, v, tau: int) -> complex:
@@ -195,11 +209,15 @@ def set_xcorr_profile(a: PhaseMatrix, b: PhaseMatrix) -> CorrelationProfile:
     return CorrelationProfile(shifts, w[(-shifts) % length])
 
 
-def _worker_count(workers: int | None) -> int:
-    """Explicit argument wins; else the QCSS_THREADS env var; else 1."""
+def worker_count(workers: int | None) -> int:
+    """FFT scan threads: explicit argument wins; else the QCSS_THREADS env
+    var; else 1. A QCSS_THREADS that is not an integer raises QcssError."""
     if workers is None:
         env = os.environ.get("QCSS_THREADS", "").strip()
-        workers = int(env) if env else 1
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise QcssError(f"QCSS_THREADS must be an integer, got {env!r}") from None
     return max(1, int(workers))
 
 
@@ -281,7 +299,7 @@ def verify_ccc(family, tol: float | None = None, workers: int | None = None) -> 
             float(offpeak.max()),
         )
 
-    results = _map_chunks(scan, _chunk_ranges(len(members)), _worker_count(workers))
+    results = _map_chunks(scan, _chunk_ranges(len(members)), worker_count(workers))
     max_dev = max(r[0] for r in results)
     peak_dev = max(r[3] for r in results)
     offpeak_max = max(r[4] for r in results)
@@ -326,7 +344,7 @@ def verify_interset(
         dichotomy = float(np.minimum(mags, np.abs(mags - n)).max())
         return float(mags[i, m2, ti]), (lo + int(i), int(m2), int(shifts[ti])), dichotomy
 
-    results = _map_chunks(scan, _chunk_ranges(len(f1.members)), _worker_count(workers))
+    results = _map_chunks(scan, _chunk_ranges(len(f1.members)), worker_count(workers))
     max_mag = max(r[0] for r in results)
     argmax = next(r[1] for r in results if r[0] == max_mag)
     dichotomy_dev = max(r[2] for r in results)
@@ -378,10 +396,129 @@ def delta_max_scan(
             counts, _ = np.histogram(mags[mags >= 0.0], bins=edges)
         return float(mags[i, u2, tau]), (lo + int(i), int(u2), int(tau)), counts
 
-    results = _map_chunks(scan, _chunk_ranges(len(members)), _worker_count(workers))
+    results = _map_chunks(scan, _chunk_ranges(len(members)), worker_count(workers))
     delta_max = max(r[0] for r in results)
     argmax = next(r[1] for r in results if r[0] == delta_max)
     histogram = None
     if edges is not None:
         histogram = (np.sum([r[2] for r in results], axis=0), edges)
     return CorrelationReport(delta_max, argmax, n, len(members), tol, histogram)
+
+
+# ---------------------------------------------------------------------------
+# exact engine: families built from (N, pi)
+#
+# Member (k, m) has phases k*s*pi(t) + m*t. Summed over the flock index s,
+# a term contributes N where k1*pi(t) = k2*pi(t + tau) (mod N) and 0
+# elsewhere. k2 < p0 is a unit, so each t meets that condition at exactly
+# one shift, tau = t' - t, with t' = pi^-1(c * pi(t)) and c = k1 * k2^-1:
+#
+#     R(k1, m1; k2, m2; tau) = N * sum_{t in S_tau} w^(m1*t - m2*t'),
+#     S_tau = {t : t' - t = tau}.
+#
+# For k1 = k2, c = 1 and S_0 = Z_N: R is N^2 [m1 = m2] at tau = 0 (the
+# full-period geometric sum) and 0 at every other shift. Between distinct
+# families, |R| <= N * |S_tau| by the triangle inequality, with equality at
+# m1 = m2 = 0, where every term is 1. So at each shift the largest
+# magnitude over (m1, m2) is exactly N * |S_tau|, first reached at
+# (0, 0), and the worst distance to {0, N} is N * (|S_tau| - 1) once
+# |S_tau| >= 2. That case needs a permutation without the unique-solution
+# property; it is counted, not assumed away, and the reports show it.
+
+
+def _check_family_indices(perm: Permutation, *ks: int) -> int:
+    n = perm.modulus
+    p0 = factorize(n).least_prime
+    for k in ks:
+        if not 1 <= k < p0:
+            raise BadFamilyIndexError(f"family index k={k} outside [1, {p0})")
+    return n
+
+
+def _shift_counts(n: int, partners: np.ndarray) -> np.ndarray:
+    """|S_tau| for tau = -(N-1)..N-1, one row per row of partners: (R, 2N-1)."""
+    rows = partners.reshape(-1, n)
+    span = 2 * n - 1
+    index = rows - np.arange(n) + (n - 1) + span * np.arange(len(rows))[:, None]
+    return np.bincount(index.ravel(), minlength=span * len(rows)).reshape(len(rows), span)
+
+
+def verify_ccc_exact(k: int, perm: Permutation, tol: float | None = None) -> CccReport:
+    """Complete complementarity of family k of the construction, exactly.
+
+    Within one family c = 1, so t' = t for every bijection pi: the value
+    is N^2 [m1 = m2] at tau = 0 and 0 at every other shift. Every
+    deviation from the ideal correlation is therefore exactly 0, and the
+    first maximum is (0, 0, 0). Same report as
+    verify_ccc(build_ccc(k, perm)), default tol 1e-6 * N^2.
+    """
+    n = _check_family_indices(perm, k)
+    if tol is None:
+        tol = 1e-6 * n * n
+    ok = 0.0 <= tol
+    worst = None if ok else SetCorrelationViolation(0, 0, 0, complex(n * n), 0.0)
+    return CccReport(ok, n, k, tol, 0.0, (0, 0, 0), 0.0, 0.0, worst, engine="exact")
+
+
+def verify_interset_exact(
+    k1: int, k2: int, perm: Permutation, tol: float | None = None
+) -> IntersetReport:
+    """Cross-family scan between families k1 and k2 of the construction.
+
+    Same domain and report as verify_interset(build_ccc(k1, perm),
+    build_ccc(k2, perm)): every member pair at every shift in
+    [-(N-1), N-1], default tol 1e-6 * N. The largest magnitude is
+    N * max |S_tau| and the dichotomy deviation N * (max |S_tau| - 1), or
+    0 when every |S_tau| <= 1; the argmax is the first maximum in
+    (m1, m2, tau) order.
+    """
+    n = _check_family_indices(perm, k1, k2)
+    if k1 == k2:
+        raise FamilyMismatchError(f"families must have distinct indices, both k={k1}")
+    if tol is None:
+        tol = 1e-6 * n
+    counts = _shift_counts(n, partner_map(perm, k1 * pow(k2, -1, n) % n))[0]
+    first = int(np.argmax(counts))
+    peak = int(counts[first])
+    dichotomy = float(n * (peak - 1)) if peak >= 2 else 0.0
+    return IntersetReport(
+        ok=n * peak <= n + tol,
+        n=n,
+        k1=k1,
+        k2=k2,
+        tol=tol,
+        max_magnitude=float(n * peak),
+        argmax=(0, 0, first - (n - 1)),
+        dichotomy_ok=dichotomy <= tol,
+        dichotomy_deviation=dichotomy,
+        engine="exact",
+    )
+
+
+def delta_max_exact(f: Factorization, perm: Permutation, tol: float | None = None) -> CorrelationReport:
+    """delta_max of the pooled family build_qcss(f, perm), exactly.
+
+    Same domain and report as delta_max_scan: ordered member pairs
+    (u1, u2), u = (k-1)*N + m, over shifts 0 <= tau <= N-1, without the
+    in-phase terms (u, u, 0). A same-family block is 0 there; a
+    cross-family block peaks at N * max |S_tau|, first at m1 = m2 = 0.
+    The argmax is the first maximum in (u1, u2, tau) order. No histogram.
+    """
+    if perm.modulus != f.n:
+        raise ShapeMismatchError(
+            f"permutation modulus {perm.modulus} does not match n = {f.n}"
+        )
+    n, families = f.n, f.least_prime - 1
+    inverses = np.array([pow(k, -1, n) for k in range(1, families + 1)])
+    # The same-family blocks' first in-domain value, 0 at (0, 0, 1).
+    delta_max, argmax = 0.0, (0, 0, 1)
+    # Blocks go in ascending (k1, k2) order, so the first strict
+    # improvement is the first maximum.
+    for i in range(families):
+        others = [j for j in range(families) if j != i]
+        partners = partner_map(perm, (i + 1) * inverses[others] % n)  # c = k1 / k2
+        counts = _shift_counts(n, partners)[:, n - 1:]  # tau = 0..N-1
+        for j, peak, tau in zip(others, counts.max(axis=1).tolist(), counts.argmax(axis=1).tolist()):
+            if n * peak > delta_max:
+                delta_max, argmax = float(n * peak), (i * n, j * n, tau)
+    return CorrelationReport(delta_max, argmax, n, families * n, tol, engine="exact")

@@ -1,14 +1,18 @@
 """Exact integer arithmetic over Z_N for odd N.
 
 Factorization, mixed-radix digit maps, power permutations on prime fields,
-and the composite digit permutation built from them. Everything here is
-pure-integer and deterministic; no value ever touches floating point.
+the composite digit permutation built from them, and the partner map that
+the unique-solution scan and the exact correlation engine share.
+Everything here is pure-integer and deterministic; no value ever touches
+floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from .errors import (
     EvenModulusError,
@@ -204,28 +208,41 @@ def pi_perm(f: Factorization, e: int | None = None) -> Permutation:
     return Permutation(f.n, tuple(table))
 
 
+def partner_map(perm: Permutation, c) -> np.ndarray:
+    """The partner t' = perm^-1(c * perm(t) mod N) of every t in Z_N.
+
+    c is one integer (result shape (N,)) or a 1-d sequence of integers
+    (one row per c, shape (len(c), N)). For c a unit mod N the map is a
+    bijection; t' is the unique index where c * perm(t) reappears.
+    """
+    n = perm.modulus
+    table = np.asarray(perm.table, dtype=np.int64)
+    inverse = np.empty_like(table)
+    inverse[table] = np.arange(n, dtype=np.int64)
+    return inverse[np.multiply.outer(np.asarray(c, dtype=np.int64), table) % n]
+
+
 def verify_unique_solution(f: Factorization, perm: Permutation) -> UniqueSolutionReport:
     """Exhaustively check the unique-solution property of a permutation.
 
     For every shift tau in Z_N and every scalar c in {2, ..., p0-1}, counts
     the x in Z_N solving perm(x + tau) = c * perm(x) (mod N). The property
     holds iff every count is exactly 1; violations list each offending
-    (tau, c, count) triple.
+    (tau, c, count) triple, ordered by tau, then c.
+
+    x solves the equation for exactly one tau, namely (x' - x) mod N with
+    x' the partner of x, so the counts for one c are a single bincount.
     """
     if perm.modulus != f.n:
         raise ShapeMismatchError(
             f"permutation modulus {perm.modulus} does not match n = {f.n}"
         )
     n, p0 = f.n, f.least_prime
-    table = perm.table
-    violations: list[tuple[int, int, int]] = []
-    for tau in range(n):
-        shifted = table[tau:] + table[:tau]
-        for c in range(2, p0):
-            count = 0
-            for x in range(n):
-                if shifted[x] == c * table[x] % n:
-                    count += 1
-            if count != 1:
-                violations.append((tau, c, count))
-    return UniqueSolutionReport(not violations, tuple(violations))
+    cs = np.arange(2, p0)
+    shifts = (partner_map(perm, cs) - np.arange(n)) % n
+    counts = np.stack([np.bincount(row, minlength=n) for row in shifts], axis=1)  # (tau, c)
+    taus, cols = np.nonzero(counts != 1)
+    violations = tuple(
+        (int(tau), int(cs[j]), int(counts[tau, j])) for tau, j in zip(taus, cols)
+    )
+    return UniqueSolutionReport(not violations, violations)

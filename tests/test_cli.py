@@ -162,6 +162,62 @@ class TestVerify:
         assert code == EXIT_BAD_ARGS
         assert "--corrupt" in stderr
 
+    def test_interset_corruption_fails(self, capsys):
+        code, stdout, _ = run_cli(
+            "verify", "--n", "15", "--scope", "interset", "--corrupt", "2,4,0,6", capsys=capsys
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert "interset k1=1 k2=2: FAILED" in stdout
+        assert "engine=fft" in stdout
+
+    @pytest.mark.parametrize("corrupt", ["1,0,99,0", "9,0,0,0", "0,0,0,0", "1,15,0,0", "1,0,0,-1"])
+    def test_corrupt_out_of_range(self, corrupt, capsys):
+        code, stdout, stderr = run_cli(
+            "verify", "--n", "15", "--scope", "qcss", "--corrupt", corrupt, capsys=capsys
+        )
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert stderr.count("\n") == 1 and "out of range" in stderr
+
+    def test_corrupt_needs_correlation_scope(self, capsys):
+        code, _, stderr = run_cli(
+            "verify", "--n", "15", "--scope", "permutation", "--corrupt", "1,0,0,0", capsys=capsys
+        )
+        assert code == EXIT_BAD_ARGS
+        assert stderr.count("\n") == 1 and "--corrupt" in stderr
+
+    @pytest.mark.parametrize("tol", ["-1", "-0.001", "nan"])
+    def test_negative_tol_rejected(self, tol, capsys):
+        code, stdout, stderr = run_cli(
+            "verify", "--n", "15", "--scope", "ccc", "--tol", tol, capsys=capsys
+        )
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert stderr.count("\n") == 1 and "--tol" in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("corrupt", [[], ["--corrupt", "1,0,0,0"]])
+    def test_bad_thread_setting_rejected(self, corrupt, monkeypatch, capsys):
+        monkeypatch.setenv("QCSS_THREADS", "abc")
+        code, stdout, stderr = run_cli(
+            "verify", "--n", "15", "--scope", "qcss", *corrupt, capsys=capsys
+        )
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert stderr.count("\n") == 1 and "QCSS_THREADS" in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("scope", ["ccc", "interset", "qcss"])
+    def test_engine_named(self, scope, capsys):
+        code, stdout, _ = run_cli("verify", "--n", "15", "--scope", scope, capsys=capsys)
+        assert code == EXIT_OK
+        assert all(line.endswith(" engine=exact") for line in stdout.splitlines())
+        code, stdout, _ = run_cli("verify", "--n", "15", "--scope", scope, "--json", capsys=capsys)
+        assert json.loads(stdout)["engine"] == "exact"
+        code, stdout, _ = run_cli(
+            "verify", "--n", "15", "--scope", scope, "--json", "--corrupt", "1,2,3,4", capsys=capsys
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert json.loads(stdout)["engine"] == "fft"
+
 
 class TestBounds:
     def test_tight_bound_report(self, capsys):

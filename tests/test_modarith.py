@@ -20,6 +20,7 @@ from qcss import (
     to_digits,
     verify_unique_solution,
 )
+from qcss.modarith import partner_map
 
 ODD_SWEEP = list(range(3, 226, 2))
 
@@ -247,9 +248,43 @@ class TestUniqueSolution:
             assert list(report.violations) == expected
             assert report.ok == (not expected)
 
+    @pytest.mark.parametrize("n,seed", [(25, 7), (35, 8), (49, 9)])
+    def test_violations_match_brute_force(self, n, seed):
+        # Shuffled tables break the property; every c in 2..p0-1 is counted
+        # by brute force and the violations must come out in (tau, c) order.
+        f = factorize(n)
+        table = list(range(n))
+        random.Random(seed).shuffle(table)
+        report = verify_unique_solution(f, Permutation(n, tuple(table)))
+        expected = []
+        for tau in range(n):
+            for c in range(2, f.least_prime):
+                count = sum(1 for x in range(n) if table[(x + tau) % n] == c * table[x] % n)
+                if count != 1:
+                    expected.append((tau, c, count))
+        assert expected
+        assert report.violations == tuple(expected)
+        assert not report.ok
+
     def test_modulus_mismatch(self, perm15):
         with pytest.raises(ShapeMismatchError):
             verify_unique_solution(factorize(35), perm15)
+
+
+class TestPartnerMap:
+    def test_partner_carries_scaled_image(self, perm35):
+        for c in (1, 2, 3, 4, 18):
+            tp = partner_map(perm35, c)
+            assert sorted(tp.tolist()) == list(range(35))
+            assert all(perm35(int(tp[t])) == c * perm35(t) % 35 for t in range(35))
+
+    def test_identity_for_unit_scalar(self, perm35):
+        assert partner_map(perm35, 1).tolist() == list(range(35))
+
+    def test_one_row_per_scalar(self, perm35):
+        rows = partner_map(perm35, [2, 3])
+        assert rows.shape == (2, 35)
+        assert rows[1].tolist() == partner_map(perm35, 3).tolist()
 
 
 class TestPermutationType:
