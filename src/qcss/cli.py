@@ -6,8 +6,8 @@ parameter sweeps), profile (per-pair correlation magnitudes as CSV).
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O
 failure. verify runs the exact engine on clean constructions and the FFT
-engine under --corrupt; the QCSS_THREADS environment variable caps the FFT
-engine's scan parallelism.
+engine under --corrupt; an FFT scan that would not fit in physical memory
+exits 2 before it starts.
 """
 
 from __future__ import annotations
@@ -58,11 +58,24 @@ def matrix_to_csv_text(mat: PhaseMatrix, exponent: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _phase_matrix(n: int, k: int, m: int, cells) -> PhaseMatrix:
+    """PhaseMatrix from decoded cells; ragged rows, a non-integer cell or a
+    wrong shape raise QcssError."""
+    try:
+        phases = np.array(cells)
+    except ValueError:  # ragged rows
+        phases = np.array(None)
+    if phases.size and phases.dtype.kind not in "iu":
+        raise _ArgError(f"phases of set k={k}, m={m}: ragged rows or a non-integer cell")
+    return PhaseMatrix(n, k, m, phases)
+
+
 def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
-    """Inverse of matrix_to_csv_text; returns the matrix and the exponent."""
+    """Inverse of matrix_to_csv_text; returns the matrix and the exponent.
+    Malformed text raises QcssError."""
     header = None
     rows: list[list[int]] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -71,11 +84,14 @@ def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
             if match:
                 header = tuple(int(g) for g in match.groups())
             continue
-        rows.append([int(x) for x in line.split(",")])
+        try:
+            rows.append([int(x) for x in line.split(",")])
+        except ValueError:
+            raise _ArgError(f"line {number}: non-integer cell in {line[:40]!r}") from None
     if header is None:
         raise _ArgError("missing '# N=..., k=..., m=..., e=...' header line")
     n, k, m, e = header
-    return PhaseMatrix(n, k, m, np.array(rows, dtype=np.int64)), e
+    return _phase_matrix(n, k, m, rows), e
 
 
 def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
@@ -98,35 +114,39 @@ def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
 
 
 def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
-    """Inverse of family_to_json_obj: (members, exponent, kind)."""
-    if obj.get("schema") != SCHEMA:
-        raise _ArgError(f"unsupported schema {obj.get('schema')!r}, expected {SCHEMA!r}")
-    n = obj["n"]
-    members = [
-        PhaseMatrix(n, rec["k"], rec["m"], np.array(rec["phases"], dtype=np.int64))
-        for rec in obj["members"]
-    ]
-    return members, obj["exponent"], obj["kind"]
+    """Inverse of family_to_json_obj: (members, exponent, kind). A bundle
+    with a missing key, a non-integer cell or a wrong shape raises QcssError."""
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != SCHEMA:
+        raise _ArgError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
+    try:
+        members = [_phase_matrix(obj["n"], rec["k"], rec["m"], rec["phases"]) for rec in obj["members"]]
+        return members, obj["exponent"], obj["kind"]
+    except KeyError as exc:
+        raise _ArgError(f"family bundle lacks the key {exc}") from None
+    except TypeError:
+        raise _ArgError("family bundle members must be a list of objects") from None
+
+
+def _read(path: str | Path, decode):
+    """decode(open text file); bad UTF-8 or bad JSON raises QcssError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return decode(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise _ArgError(f"{path}: malformed file ({exc})") from None
 
 
 def load_family_json(path: str | Path) -> tuple[list[PhaseMatrix], int, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_json_obj(json.load(fh))
+    return family_from_json_obj(_read(path, json.load))
 
 
 def load_matrix_csv(path: str | Path) -> tuple[PhaseMatrix, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_csv_text(fh.read())
+    return matrix_from_csv_text(_read(path, lambda fh: fh.read()))
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _checked_modulus(n: int) -> Factorization:
-    if n < 3 or n % 2 == 0:
-        raise _ArgError("modulus must be odd and >= 3")
-    return factorize(n)
 
 
 def _make_perm(f: Factorization, exponent: int | None):
@@ -164,7 +184,7 @@ def _parse_corrupt(raw: str, n: int, p0: int) -> tuple[int, int, int, int]:
 
 
 def _cmd_generate(args) -> int:
-    f = _checked_modulus(args.n)
+    f = factorize(args.n)
     perm, e = _make_perm(f, args.exponent)
     n, p0 = f.n, f.least_prime
 
@@ -212,14 +232,15 @@ def _print_or_json(args, human_lines: list[str], payload: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    f = _checked_modulus(args.n)
+    f = factorize(args.n)
     n, p0 = f.n, f.least_prime
     if args.tol is not None and not args.tol >= 0:
         raise _ArgError(f"--tol must be >= 0, got {args.tol}")
     corrupt = _parse_corrupt(args.corrupt, n, p0) if args.corrupt else None
     if corrupt and args.scope == "permutation":
         raise _ArgError("--corrupt needs a correlation scope: ccc, interset or qcss")
-    workers = correlation.worker_count(args.workers)  # checks QCSS_THREADS on every run
+    if corrupt:  # fail before building a family whose FFT scan cannot fit in memory
+        correlation.check_scan_memory({"ccc": n, "interset": 2 * n}.get(args.scope, (p0 - 1) * n), n)
     perm, e = _make_perm(f, args.exponent)
     lines: list[str] = []
     payload: dict = {"n": n, "p0": p0, "exponent": e, "scope": args.scope}
@@ -250,7 +271,7 @@ def _cmd_verify(args) -> int:
         payload["families"] = []
         for k in range(1, p0):
             if corrupt:
-                report = correlation.verify_ccc(ccc_family(k), tol=args.tol, workers=workers)
+                report = correlation.verify_ccc(ccc_family(k), tol=args.tol)
             else:
                 report = correlation.verify_ccc_exact(k, perm, tol=args.tol)
             ok = ok and report.ok
@@ -277,9 +298,7 @@ def _cmd_verify(args) -> int:
         for k1 in range(1, p0):
             for k2 in range(k1 + 1, p0):
                 if corrupt:
-                    report = correlation.verify_interset(
-                        ccc_family(k1), ccc_family(k2), tol=args.tol, workers=workers
-                    )
+                    report = correlation.verify_interset(ccc_family(k1), ccc_family(k2), tol=args.tol)
                 else:
                     report = correlation.verify_interset_exact(k1, k2, perm, tol=args.tol)
                 pair_ok = report.ok and report.dichotomy_ok
@@ -305,7 +324,7 @@ def _cmd_verify(args) -> int:
         tol = 1e-6 * n if args.tol is None else args.tol
         if corrupt:
             family = _corrupt_member(build_qcss(f, perm), *corrupt)
-            report = correlation.delta_max_scan(family, tol=tol, workers=workers)
+            report = correlation.delta_max_scan(family, tol=tol)
         else:
             report = correlation.delta_max_exact(f, perm, tol=tol)
         ok = abs(report.delta_max - n) <= tol
@@ -391,7 +410,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    f = _checked_modulus(args.n)
+    f = factorize(args.n)
     perm, _ = _make_perm(f, args.exponent)
     a = build_set(args.k1, args.m1, perm)
     b = build_set(args.k2, args.m2, perm)
@@ -431,9 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--scope", choices=["permutation", "ccc", "interset", "qcss"], required=True)
     v.add_argument("--exponent", type=int, default=None)
     v.add_argument("--tol", type=float, default=None)
-    v.add_argument(
-        "--workers", type=int, default=None, help="FFT scan threads (default: QCSS_THREADS or 1)"
-    )
     v.add_argument("--json", action="store_true", help="machine-readable report")
     v.add_argument(
         "--corrupt",

@@ -12,16 +12,19 @@ so it reads results off a partner map instead of scanning spectra. The
 FFT scanners serve arbitrary phase matrices, and the tests hold the two
 engines equal on constructed families.
 
-Scan determinism: families are scanned in fixed chunks of member rows, so
-per-chunk floating-point reductions are identical no matter how many
-worker threads run, and the reported argmax is always the first maximum in
-ascending (first member, second member, shift) order.
+One FFT scan core (_scan) serves verify_ccc, verify_interset and
+delta_max_scan: frequency-major (L, K, N) row spectra, L*K*N*16 bytes, and
+a QcssError up front for a scan that would not fit in physical memory.
+Fixed tiles of 32 member rows bound the memory of one step and fix the
+reduction order; the argmax is the first maximum in ascending (first
+member, second member, shift) order. A family against itself computes
+half the pairs and reads the rest off R(u2, u1, tau) = conj R(u1, u2, -tau).
 """
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,9 +43,9 @@ from .modarith import Factorization, Permutation, factorize, partner_map
 
 _ROOT_TABLES: dict[int, np.ndarray] = {}
 
-# Fixed scan chunk height (first-member axis). Part of the determinism
-# contract: must not depend on the worker count.
-_CHUNK_ROWS = 32
+# Fixed scan tile height (first-member axis). It bounds the memory of one
+# tile and fixes the floating-point reduction order.
+_TILE_ROWS = 32
 
 
 def roots_of_unity(n: int) -> np.ndarray:
@@ -139,18 +142,20 @@ class CorrelationReport:
     engine: str = "fft"           # "exact" or "fft"
 
 
+def _sequence_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    u, v = np.asarray(u), np.asarray(v)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise LengthMismatchError(f"sequences must be 1-d and equal length, got {u.shape} and {v.shape}")
+    return u, v
+
+
 def aperiodic_xcorr(u, v, tau: int) -> complex:
     """Overlap sum sum_t u[t] * conj(v[t + tau]), no wraparound.
 
     Negative tau slides the window the other way: sum_t u[t - tau] * conj(v[t]).
     This per-shift form is the ground truth the FFT path is held to.
     """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise LengthMismatchError(
-            f"sequences must be 1-d and equal length, got {u.shape} and {v.shape}"
-        )
+    u, v = _sequence_pair(u, v)
     n = u.shape[0]
     if not -n < tau < n:
         raise ShiftOutOfRangeError(f"shift {tau} outside [-(N-1), N-1] for N={n}")
@@ -160,26 +165,29 @@ def aperiodic_xcorr(u, v, tau: int) -> complex:
 
 
 def _fft_length(n: int) -> int:
-    """Smallest power of two >= 2n (room for all 2n-1 aperiodic shifts)."""
-    length = 1
-    while length < 2 * n:
-        length *= 2
+    """Smallest 5-smooth length >= 2n-1: room for all 2n-1 aperiodic shifts
+    without wraparound, at a length the FFT splits into radix-2, -3 and -5
+    passes (450 at n = 225 where the next power of two is 512)."""
+    length = max(2 * n - 1, 1)
+    while math.gcd(length, 30 ** length.bit_length()) != length:  # a prime factor above 5
+        length += 1
     return length
+
+
+def _fft_profile(a: np.ndarray, b: np.ndarray) -> CorrelationProfile:
+    """Correlation of the rows of a against those of b at every shift,
+    summed over the rows, via zero-padded FFT along the last axis."""
+    n = a.shape[-1]
+    length = _fft_length(n)
+    products = np.fft.fft(a, length) * np.conj(np.fft.fft(b, length))
+    w = np.fft.ifft(products.reshape(-1, length).sum(axis=0))
+    shifts = np.arange(-(n - 1), n)
+    return CorrelationProfile(shifts, w[(-shifts) % length])
 
 
 def xcorr_all_shifts_fft(u, v) -> CorrelationProfile:
     """All 2N-1 aperiodic correlation values at once via zero-padded FFT."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise LengthMismatchError(
-            f"sequences must be 1-d and equal length, got {u.shape} and {v.shape}"
-        )
-    n = u.shape[0]
-    length = _fft_length(n)
-    w = np.fft.ifft(np.fft.fft(u, length) * np.conj(np.fft.fft(v, length)))
-    shifts = np.arange(-(n - 1), n)
-    return CorrelationProfile(shifts, w[(-shifts) % length])
+    return _fft_profile(*_sequence_pair(u, v))
 
 
 def set_xcorr(a: PhaseMatrix, b: PhaseMatrix, tau: int) -> complex:
@@ -200,69 +208,114 @@ def set_xcorr_profile(a: PhaseMatrix, b: PhaseMatrix) -> CorrelationProfile:
     """Flock-summed correlation at every shift, FFT route."""
     if a.n != b.n:
         raise LengthMismatchError(f"matrices over different moduli: {a.n} vs {b.n}")
-    n = a.n
-    length = _fft_length(n)
-    fa = np.fft.fft(rows_to_complex(a), n=length, axis=1)
-    fb = np.fft.fft(rows_to_complex(b), n=length, axis=1)
-    w = np.fft.ifft(np.sum(fa * np.conj(fb), axis=0))
-    shifts = np.arange(-(n - 1), n)
-    return CorrelationProfile(shifts, w[(-shifts) % length])
+    return _fft_profile(rows_to_complex(a), rows_to_complex(b))
 
 
-def worker_count(workers: int | None) -> int:
-    """FFT scan threads: explicit argument wins; else the QCSS_THREADS env
-    var; else 1. A QCSS_THREADS that is not an integer raises QcssError."""
-    if workers is None:
-        env = os.environ.get("QCSS_THREADS", "").strip()
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise QcssError(f"QCSS_THREADS must be an integer, got {env!r}") from None
-    return max(1, int(workers))
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _map_chunks(fn, chunks: Sequence, workers: int) -> list:
-    """Apply fn to every chunk, returning results in chunk order."""
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        return list(pool.map(fn, chunks))
+def check_scan_memory(members: int, n: int) -> int:
+    """Bytes an FFT scan over K = members members of modulus n needs: the
+    spectra, L*K*N*16, plus one tile of L*32*K pair products and their
+    magnitudes, 24 bytes each. Raises QcssError, before anything is
+    allocated, when that exceeds physical memory."""
+    need = _fft_length(n) * members * (16 * n + 24 * _TILE_ROWS)
+    if need > (have := _physical_memory()):
+        raise QcssError(
+            f"FFT scan of {members} members at N={n} needs about {need} bytes "
+            f"({need / 2**30:.1f} GiB), more than the {have} bytes of physical memory"
+        )
+    return need
 
 
-def _chunk_ranges(total: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK_ROWS, total)) for lo in range(0, total, _CHUNK_ROWS)]
+def _spectra(members: Sequence[PhaseMatrix], length: int) -> np.ndarray:
+    """Row spectra of every member, frequency-major: C-contiguous complex
+    (L, K, N), spectra[f, u, s] = DFT of row s of member u at frequency f,
+    built one tile of members at a time straight into place."""
+    roots = roots_of_unity(members[0].n)
+    out = np.empty((length, len(members), members[0].n), dtype=complex)
+    for lo in range(0, len(members), _TILE_ROWS):
+        chunk = roots[np.stack([mat.phases for mat in members[lo : lo + _TILE_ROWS]])]
+        np.fft.fft(chunk, n=length, axis=2, out=out[:, lo : lo + len(chunk)].transpose(1, 2, 0))
+    return out
 
 
-def _family_spectra(members: Sequence[PhaseMatrix], n: int, length: int) -> np.ndarray:
-    """Row-wise FFTs of every member: complex array (K, N, length)."""
-    roots = roots_of_unity(n)
-    stack = roots[np.stack([mat.phases for mat in members])]
-    return np.fft.fft(stack, n=length, axis=2)
+def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of the given shape over the front of a flat buffer."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _pair_values(spectra_a: np.ndarray, conj_spectra_b: np.ndarray, tau_index: np.ndarray) -> np.ndarray:
-    """Flock-summed correlation of every (a, b) member pair at the given shifts.
+def _scan(rows: Sequence[PhaseMatrix], cols: Sequence[PhaseMatrix] | None = None, tally=None):
+    """The FFT scan core: the first maximum of |R| over a scan domain.
 
-    spectra_a: (A, N, L); conj_spectra_b: (B, N, L); returns (A, B, len(tau_index)).
-    The flock axis is contracted in the spectral domain, then one inverse
-    FFT per pair recovers the correlation profile.
+    With cols None the domain is every ordered pair of rows (u1, u2) over
+    shifts 0..N-1, less the in-phase terms (u, u, 0): only the tiles rows
+    [lo, hi) x columns [lo, K) are computed, over all 2N-1 shifts, and the
+    pairs (u2 >= hi, u1) are read off R(u2, u1, tau) = conj R(u1, u2, -tau).
+    Otherwise it is every (row, column) pair over shifts -(N-1)..N-1.
+    tally(mags) sees the magnitudes of every part of every tile (in-phase
+    terms read -1). Returns the largest magnitude, its first (u1, u2, tau)
+    and the value R there.
     """
-    w = np.matmul(spectra_a.transpose(2, 0, 1), conj_spectra_b.transpose(2, 1, 0))
-    w = np.fft.ifft(w, axis=0)
-    return w[tau_index].transpose(1, 2, 0)
+    n, length, mirror = rows[0].n, _fft_length(rows[0].n), cols is None
+    check_scan_memory(len(rows) + len(cols or ()), n)
+    spectra = _spectra(rows, length)
+    other = spectra if mirror else _spectra(cols, length)
+    # One set of tile buffers, reused: no page faults on every tile.
+    w_buf = np.empty(length * _TILE_ROWS * other.shape[1], dtype=complex)
+    mag_buf = np.empty(w_buf.size)
+    neg = length - n + 1  # the first row of w that holds a negative shift
+    best, where, value = -np.inf, None, None
+    for lo in range(0, len(rows), _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, len(rows))
+        col0 = lo if mirror else 0
+        shape = (length, hi - lo, other.shape[1] - col0)
+        row_block = np.conj(spectra[:, lo:hi])
+        w = np.matmul(row_block, other[:, col0:].transpose(0, 2, 1), out=_view(w_buf, shape))
+        np.fft.ifft(w, axis=0, out=w)
+        # w[j, i, c] = conj R(lo + i, col0 + c, tau) at j = tau mod L: the
+        # row block is conjugated, so the shift sits at +tau, not -tau.
+        mags = np.abs(w, out=_view(mag_buf, shape))
+        # Parts of the domain: (rows of w, first column, shift of each row,
+        # whether the pair is read off its mirror).
+        if mirror:
+            np.fill_diagonal(mags[0], -1.0)  # the in-phase terms (u, u, 0)
+            parts = [(0, n, 0, np.arange(n), False), (0, 1, hi - lo, np.zeros(1, dtype=int), True)]
+            parts.append((neg, length, hi - lo, np.arange(n - 1, 0, -1), True))
+        else:
+            parts = [(neg, length, 0, np.arange(1 - n, 0), False), (0, n, 0, np.arange(n), False)]
+        views = [mags[j0:j1, :, c0:] for j0, j1, c0, _, _ in parts]
+        for view in views if tally else ():
+            tally(view)
+        top = max(view.max() for view in views if view.size)
+        if top < best:
+            continue
+        found = []
+        for view, (j0, _, c0, taus, mirrored) in zip(views, parts):
+            s, i, c = np.nonzero(view == top)
+            u_row, u_col, at = lo + i, col0 + c0 + c, w[j0 + s, i, c0 + c]
+            if mirrored:  # R(u_col, u_row, tau) = conj R(u_row, u_col, -tau)
+                found.append((u_col, u_row, taus[s], at))
+            else:
+                found.append((u_row, u_col, taus[s], np.conj(at)))
+        u1, u2, tau, values = (np.concatenate(x) for x in zip(*found))
+        first = np.lexsort((tau, u2, u1))[0]
+        here = (int(u1[first]), int(u2[first]), int(tau[first]))
+        if top > best or here < where:
+            best, where, value = float(top), here, complex(values[first])
+    return best, where, value
 
 
 def _members_of(family) -> tuple[PhaseMatrix, ...]:
     members = tuple(family)
-    if not members:
-        raise LengthMismatchError("family has no members")
-    n = members[0].n
-    if any(mat.n != n for mat in members):
-        raise LengthMismatchError("members span different moduli")
+    if not members or any(mat.n != members[0].n for mat in members):
+        raise LengthMismatchError("a family needs members, all over one modulus")
     return members
 
 
-def verify_ccc(family, tol: float | None = None, workers: int | None = None) -> CccReport:
+def verify_ccc(family, tol: float | None = None) -> CccReport:
     """Exhaustively check that a family is completely complementary.
 
     Scans every ordered member pair (m1, m2) and every shift 0 <= tau <= N-1:
@@ -272,49 +325,22 @@ def verify_ccc(family, tol: float | None = None, workers: int | None = None) -> 
     """
     members = _members_of(family)
     n = members[0].n
-    kk = getattr(family, "k", None)
     if tol is None:
         tol = 1e-6 * n * n
-    length = _fft_length(n)
-    spectra = _family_spectra(members, n, length)
-    conj_spectra = np.conj(spectra)
-    tau_index = (-np.arange(n)) % length
-    peak = float(n * n)
-
-    def scan(rows: tuple[int, int]):
-        lo, hi = rows
-        vals = _pair_values(spectra[lo:hi], conj_spectra, tau_index)
-        dev = np.abs(vals)
-        local = np.arange(hi - lo)
-        offpeak = dev.copy()
-        offpeak[local, lo + local, 0] = 0.0
-        dev[local, lo + local, 0] = np.abs(vals[local, lo + local, 0] - peak)
-        flat = int(np.argmax(dev))
-        i, m2, tau = np.unravel_index(flat, dev.shape)
-        return (
-            float(dev[i, m2, tau]),
-            (lo + int(i), int(m2), int(tau)),
-            complex(vals[i, m2, tau]),
-            float(dev[local, lo + local, 0].max()),
-            float(offpeak.max()),
-        )
-
-    results = _map_chunks(scan, _chunk_ranges(len(members)), worker_count(workers))
-    max_dev = max(r[0] for r in results)
-    peak_dev = max(r[3] for r in results)
-    offpeak_max = max(r[4] for r in results)
-    argmax, value = next((r[1], r[2]) for r in results if r[0] == max_dev)
+    offpeak_max, argmax, value = _scan(members)
+    offpeak_max = max(offpeak_max, 0.0)
+    peaks = np.abs(np.array([set_xcorr(mat, mat, 0) for mat in members]) - n * n)  # direct sums
+    m = int(np.argmax(peaks))
+    peak_dev = float(peaks[m])
+    if peak_dev > offpeak_max or (peak_dev == offpeak_max and (m, m, 0) < argmax):
+        argmax, value = (m, m, 0), set_xcorr(members[m], members[m], 0)
+    max_dev = max(peak_dev, offpeak_max)
     ok = max_dev <= tol
     worst = None if ok else SetCorrelationViolation(*argmax, value, max_dev)
-    return CccReport(ok, n, kk, tol, max_dev, argmax, peak_dev, offpeak_max, worst)
+    return CccReport(ok, n, getattr(family, "k", None), tol, max_dev, argmax, peak_dev, offpeak_max, worst)
 
 
-def verify_interset(
-    f1: SequenceFamily,
-    f2: SequenceFamily,
-    tol: float | None = None,
-    workers: int | None = None,
-) -> IntersetReport:
+def verify_interset(f1: SequenceFamily, f2: SequenceFamily, tol: float | None = None) -> IntersetReport:
     """Scan the cross-correlations between two distinct families.
 
     Every member pair is evaluated at every shift in [-(N-1), N-1]. ok means
@@ -330,43 +356,16 @@ def verify_interset(
     n = f1.n
     if tol is None:
         tol = 1e-6 * n
-    length = _fft_length(n)
-    shifts = np.arange(-(n - 1), n)
-    tau_index = (-shifts) % length
-    spectra_a = _family_spectra(f1.members, n, length)
-    conj_spectra_b = np.conj(_family_spectra(f2.members, n, length))
-
-    def scan(rows: tuple[int, int]):
-        lo, hi = rows
-        mags = np.abs(_pair_values(spectra_a[lo:hi], conj_spectra_b, tau_index))
-        flat = int(np.argmax(mags))
-        i, m2, ti = np.unravel_index(flat, mags.shape)
-        dichotomy = float(np.minimum(mags, np.abs(mags - n)).max())
-        return float(mags[i, m2, ti]), (lo + int(i), int(m2), int(shifts[ti])), dichotomy
-
-    results = _map_chunks(scan, _chunk_ranges(len(f1.members)), worker_count(workers))
-    max_mag = max(r[0] for r in results)
-    argmax = next(r[1] for r in results if r[0] == max_mag)
-    dichotomy_dev = max(r[2] for r in results)
-    return IntersetReport(
-        ok=max_mag <= n + tol,
-        n=n,
-        k1=f1.k,
-        k2=f2.k,
-        tol=tol,
-        max_magnitude=max_mag,
-        argmax=argmax,
-        dichotomy_ok=dichotomy_dev <= tol,
-        dichotomy_deviation=dichotomy_dev,
+    worst = [0.0]  # distance to the nearer of {0, N}, per part
+    max_mag, argmax, _ = _scan(
+        f1.members, f2.members, lambda mags: worst.append(np.minimum(mags, np.abs(mags - n)).max())
     )
+    dichotomy = float(max(worst))
+    ok = max_mag <= n + tol
+    return IntersetReport(ok, n, f1.k, f2.k, tol, max_mag, argmax, dichotomy <= tol, dichotomy)
 
 
-def delta_max_scan(
-    family,
-    tol: float | None = None,
-    workers: int | None = None,
-    histogram_bins: int = 0,
-) -> CorrelationReport:
+def delta_max_scan(family, tol: float | None = None, histogram_bins: int = 0) -> CorrelationReport:
     """Largest flock-summed correlation magnitude over a family.
 
     The domain is every ordered member pair (u1, u2) and every shift
@@ -374,34 +373,18 @@ def delta_max_scan(
     tau = 0); negative shifts add nothing by conjugate symmetry. tol is
     recorded in the report for downstream pass/fail decisions; it does not
     affect the scan. With histogram_bins > 0 the report also carries a
-    magnitude histogram over [0, N^2].
+    magnitude histogram over [0, N^2], counted over the ordered domain.
     """
     members = _members_of(family)
     n = members[0].n
-    length = _fft_length(n)
-    tau_index = (-np.arange(n)) % length
-    spectra = _family_spectra(members, n, length)
-    conj_spectra = np.conj(spectra)
-    edges = np.linspace(0.0, float(n * n), histogram_bins + 1) if histogram_bins else None
+    edges = np.linspace(0.0, float(n * n), histogram_bins + 1)
+    counts = np.zeros(histogram_bins, dtype=np.int64)
 
-    def scan(rows: tuple[int, int]):
-        lo, hi = rows
-        mags = np.abs(_pair_values(spectra[lo:hi], conj_spectra, tau_index))
-        local = np.arange(hi - lo)
-        mags[local, lo + local, 0] = -1.0  # exclude the trivial (u, u, 0) term
-        flat = int(np.argmax(mags))
-        i, u2, tau = np.unravel_index(flat, mags.shape)
-        counts = None
-        if edges is not None:
-            counts, _ = np.histogram(mags[mags >= 0.0], bins=edges)
-        return float(mags[i, u2, tau]), (lo + int(i), int(u2), int(tau)), counts
+    def tally(mags: np.ndarray) -> None:
+        counts[:] += np.histogram(mags, bins=edges)[0]  # the -1 in-phase terms fall outside
 
-    results = _map_chunks(scan, _chunk_ranges(len(members)), worker_count(workers))
-    delta_max = max(r[0] for r in results)
-    argmax = next(r[1] for r in results if r[0] == delta_max)
-    histogram = None
-    if edges is not None:
-        histogram = (np.sum([r[2] for r in results], axis=0), edges)
+    delta_max, argmax, _ = _scan(members, tally=tally if histogram_bins else None)
+    histogram = (counts, edges) if histogram_bins else None
     return CorrelationReport(delta_max, argmax, n, len(members), tol, histogram)
 
 

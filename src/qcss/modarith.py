@@ -114,9 +114,9 @@ def factorize(n: int) -> Factorization:
     Deterministic and canonical: primes come out ascending.
     """
     if n < 3:
-        raise ModulusTooSmallError(f"modulus must be >= 3, got {n}")
+        raise ModulusTooSmallError(f"modulus must be odd and >= 3, got {n}")
     if n % 2 == 0:
-        raise EvenModulusError(f"modulus must be odd, got {n}")
+        raise EvenModulusError(f"modulus must be odd and >= 3, got {n}")
     primes: list[int] = []
     exponents: list[int] = []
     m, d = n, 3

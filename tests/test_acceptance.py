@@ -122,7 +122,7 @@ def test_criterion_5_pool_delta_max():
         f = factorize(n)
         family = build_qcss(f, pi_perm(f))
         assert len(family) == expected_size
-        rep = delta_max_scan(family, tol=1e-6 * n, workers=2)
+        rep = delta_max_scan(family, tol=1e-6 * n)
         assert abs(rep.delta_max - n) <= 1e-6 * n, (n, rep.delta_max)
         observed[n] = rep.delta_max
     elapsed = time.perf_counter() - start

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from qcss import build_qcss, build_set, factorize, pi_perm
+from qcss import QcssError, build_qcss, build_set, correlation, factorize, pi_perm
+from qcss import cli
 from qcss.cli import (
     EXIT_BAD_ARGS,
     EXIT_IO,
@@ -195,16 +196,6 @@ class TestVerify:
         assert stdout == ""
         assert stderr.count("\n") == 1 and "--tol" in stderr and "Traceback" not in stderr
 
-    @pytest.mark.parametrize("corrupt", [[], ["--corrupt", "1,0,0,0"]])
-    def test_bad_thread_setting_rejected(self, corrupt, monkeypatch, capsys):
-        monkeypatch.setenv("QCSS_THREADS", "abc")
-        code, stdout, stderr = run_cli(
-            "verify", "--n", "15", "--scope", "qcss", *corrupt, capsys=capsys
-        )
-        assert code == EXIT_BAD_ARGS
-        assert stdout == ""
-        assert stderr.count("\n") == 1 and "QCSS_THREADS" in stderr and "Traceback" not in stderr
-
     @pytest.mark.parametrize("scope", ["ccc", "interset", "qcss"])
     def test_engine_named(self, scope, capsys):
         code, stdout, _ = run_cli("verify", "--n", "15", "--scope", scope, capsys=capsys)
@@ -217,6 +208,74 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY_FAILED
         assert json.loads(stdout)["engine"] == "fft"
+
+
+    @pytest.mark.parametrize("scope,members", [("ccc", 289), ("interset", 578), ("qcss", 4624)])
+    def test_oversized_fft_scan_rejected(self, scope, members, monkeypatch, capsys):
+        # N = 289: L = 600; the pool needs about 14 GB. Nothing is built:
+        # the memory check comes before the permutation.
+        monkeypatch.setattr(correlation, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(cli, "_make_perm", lambda *a: pytest.fail("built past the memory check"))
+        code, stdout, stderr = run_cli(
+            "verify", "--n", "289", "--scope", scope, "--corrupt", "1,0,0,0", capsys=capsys
+        )
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        need = 600 * members * (16 * 289 + 24 * 32)
+        assert stderr.count("\n") == 1 and f"needs about {need} bytes" in stderr
+
+
+class TestLoaders:
+    """Malformed input to the loaders raises QcssError, never a bare
+    JSONDecodeError, KeyError or ValueError."""
+
+    @staticmethod
+    def bundle(perm15):
+        f = factorize(15)
+        return json.loads(json.dumps(family_to_json_obj(list(build_qcss(f, perm15).members)[:2], 15, 3, "qcss")))
+
+    def test_bad_json(self, tmp_path):
+        for text in ("{not json", "", "\xff\xfe"):
+            path = tmp_path / "bad.json"
+            path.write_bytes(text.encode("latin-1"))
+            with pytest.raises(QcssError):
+                load_family_json(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(QcssError, match="schema"):
+            load_family_json(path)
+
+    @pytest.mark.parametrize("key", ["n", "exponent", "kind", "members", "k", "m", "phases"])
+    def test_missing_key(self, key, perm15):
+        obj = self.bundle(perm15)
+        del (obj if key in obj else obj["members"][1])[key]
+        with pytest.raises(QcssError, match=key):
+            family_from_json_obj(obj)
+
+    def test_non_integer_cell(self, perm15, tmp_path):
+        for bad in (1.5, "3", None):
+            obj = self.bundle(perm15)
+            obj["members"][0]["phases"][4][2] = bad
+            with pytest.raises(QcssError, match="non-integer"):
+                family_from_json_obj(obj)
+        lines = matrix_to_csv_text(build_set(1, 0, perm15), 3).splitlines()
+        lines[3] = lines[3].replace(",", ",x", 1)
+        (tmp_path / "bad.csv").write_text("\n".join(lines))
+        with pytest.raises(QcssError, match="line 4: non-integer"):
+            load_matrix_csv(tmp_path / "bad.csv")
+
+    def test_wrong_shape(self, perm15):
+        obj = self.bundle(perm15)
+        obj["members"][0]["phases"].pop()
+        with pytest.raises(QcssError):
+            family_from_json_obj(obj)
+        obj = self.bundle(perm15)
+        obj["members"][0]["phases"][2].pop()  # ragged
+        with pytest.raises(QcssError):
+            family_from_json_obj(obj)
+        lines = matrix_to_csv_text(build_set(1, 0, perm15), 3).splitlines()
+        for broken in (lines[:-1], lines[:3] + [lines[3] + ",1"] + lines[4:]):
+            with pytest.raises(QcssError):
+                matrix_from_csv_text("\n".join(broken))
 
 
 class TestBounds:

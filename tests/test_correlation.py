@@ -209,13 +209,6 @@ class TestVerifyCcc:
         assert report.worst_violation is not None
         assert report.max_deviation > report.tol
 
-    def test_workers_do_not_change_result(self, perm15):
-        family = build_ccc(1, perm15)
-        a = verify_ccc(family, workers=1)
-        b = verify_ccc(family, workers=4)
-        assert a.max_deviation == b.max_deviation
-        assert a.argmax == b.argmax
-
 
 class TestVerifyInterset:
     @pytest.mark.parametrize("n", [15, 35])
@@ -264,23 +257,6 @@ class TestDeltaMaxScan:
         assert not (u1 == u2 and tau == 0)
         naive = abs(set_xcorr(family[u1], family[u2], tau))
         assert naive == pytest.approx(report.delta_max, abs=1e-9)
-
-    def test_workers_do_not_change_result(self, perm15):
-        f = factorize(15)
-        family = build_qcss(f, perm15)
-        a = delta_max_scan(family, workers=1)
-        b = delta_max_scan(family, workers=3)
-        assert a.delta_max == b.delta_max
-        assert a.argmax == b.argmax
-
-    def test_env_var_worker_cap(self, perm15, monkeypatch):
-        f = factorize(15)
-        family = build_qcss(f, perm15)
-        base = delta_max_scan(family)
-        monkeypatch.setenv("QCSS_THREADS", "2")
-        threaded = delta_max_scan(family)
-        assert threaded.delta_max == base.delta_max
-        assert threaded.argmax == base.argmax
 
     def test_histogram_covers_domain(self):
         f = factorize(9)
