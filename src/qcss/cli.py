@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,8 @@ EXIT_IO = 3
 SCHEMA = "qcss/1"
 
 _CSV_HEADER = re.compile(r"#\s*N=(\d+),\s*k=(\d+),\s*m=(\d+),\s*e=(\d+)")
+# numpy's C loader for the CSV data rows; "#" lines and empty lines are skipped.
+_CSV_ROWS = dict(delimiter=",", dtype=np.int64, comments="#", ndmin=2)
 
 
 class _ArgError(QcssError):
@@ -52,46 +55,77 @@ class _ArgError(QcssError):
 
 
 def matrix_to_csv_text(mat: PhaseMatrix, exponent: int) -> str:
-    """Row-major integer CSV with a one-line metadata header."""
+    """Row-major integer CSV with a one-line metadata header.
+
+    Each cell is looked up in a table of the N decimal strings, so the text
+    is exactly that of str() on every entry.
+    """
+    tokens = np.array([str(v) for v in range(mat.n)], dtype=object)
     lines = [f"# N={mat.n}, k={mat.k}, m={mat.m}, e={exponent}"]
-    lines += [",".join(str(x) for x in row) for row in mat.phases.tolist()]
+    lines += map(",".join, tokens[mat.phases].tolist())
     return "\n".join(lines) + "\n"
 
 
 def _phase_matrix(n: int, k: int, m: int, cells) -> PhaseMatrix:
-    """PhaseMatrix from decoded cells; ragged rows, a non-integer cell or a
-    wrong shape raise QcssError."""
+    """PhaseMatrix from decoded JSON cells; ragged rows, a non-integer or
+    boolean cell or a wrong shape raise QcssError."""
     try:
         phases = np.array(cells)
     except ValueError:  # ragged rows
         phases = np.array(None)
     if phases.size and phases.dtype.kind not in "iu":
         raise _ArgError(f"phases of set k={k}, m={m}: ragged rows or a non-integer cell")
+    if phases.ndim == 2:
+        # np.array reads JSON true/false among integers as 1/0, so only the
+        # cells that read 0 or 1 need their Python type looked at.
+        rows, cols = np.nonzero((phases == 0) | (phases == 1))
+        if any(type(cells[r][c]) is bool for r, c in zip(rows.tolist(), cols.tolist())):
+            raise _ArgError(f"phases of set k={k}, m={m}: a non-integer cell (true or false)")
     return PhaseMatrix(n, k, m, phases)
+
+
+def _integer(name: str, value) -> int:
+    """A JSON integer field; a float, a boolean or anything else raises QcssError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _ArgError(f"family bundle field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _first_bad_line(lines: list[str]) -> str:
+    """Name the first line with a cell the CSV row loader refuses.
+
+    Runs only after np.loadtxt has refused the whole text. Its own error
+    counts data rows, not file lines, and from 0 for a bad cell but from 1
+    for a ragged row. When every line loads alone, the rows were ragged.
+    """
+    for number, line in enumerate(lines, 1):
+        try:
+            np.loadtxt([line], **_CSV_ROWS)
+        except ValueError:
+            return f"line {number}: non-integer cell in {line[:40]!r}"
+    return "ragged rows"
 
 
 def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
     """Inverse of matrix_to_csv_text; returns the matrix and the exponent.
-    Malformed text raises QcssError."""
-    header = None
-    rows: list[list[int]] = []
-    for number, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _CSV_HEADER.match(line)
-            if match:
-                header = tuple(int(g) for g in match.groups())
-            continue
+
+    Blank lines, CRLF line ends and spaces around cells are accepted.
+    Malformed text raises QcssError.
+    """
+    lines = [line.strip() for line in text.splitlines()]
+    with warnings.catch_warnings():
+        # A text without data rows loads as an empty matrix, which the
+        # shape check refuses.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            rows.append([int(x) for x in line.split(",")])
+            phases = np.loadtxt(lines, **_CSV_ROWS)
         except ValueError:
-            raise _ArgError(f"line {number}: non-integer cell in {line[:40]!r}") from None
-    if header is None:
+            raise _ArgError(_first_bad_line(lines)) from None
+    headers = [match for match in map(_CSV_HEADER.match, lines) if match]
+    if not headers:
         raise _ArgError("missing '# N=..., k=..., m=..., e=...' header line")
-    n, k, m, e = header
-    return _phase_matrix(n, k, m, rows), e
+    n, k, m, e = (int(g) for g in headers[-1].groups())
+    return PhaseMatrix(n, k, m, phases), e
 
 
 def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
@@ -115,13 +149,18 @@ def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
 
 def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
     """Inverse of family_to_json_obj: (members, exponent, kind). A bundle
-    with a missing key, a non-integer cell or a wrong shape raises QcssError."""
+    with a missing key, a non-integer field or cell or a wrong shape raises
+    QcssError."""
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != SCHEMA:
         raise _ArgError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
     try:
-        members = [_phase_matrix(obj["n"], rec["k"], rec["m"], rec["phases"]) for rec in obj["members"]]
-        return members, obj["exponent"], obj["kind"]
+        n = _integer("n", obj["n"])
+        members = [
+            _phase_matrix(n, _integer("k", rec["k"]), _integer("m", rec["m"]), rec["phases"])
+            for rec in obj["members"]
+        ]
+        return members, _integer("exponent", obj["exponent"]), obj["kind"]
     except KeyError as exc:
         raise _ArgError(f"family bundle lacks the key {exc}") from None
     except TypeError:
@@ -203,8 +242,8 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     if args.format == "json":
         out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(family_to_json_obj(members, n, e, kind), fh)
+        # One dumps call: json.dump would write the text in many small pieces.
+        out.write_text(json.dumps(family_to_json_obj(members, n, e, kind)), encoding="utf-8")
         written = [out]
     elif len(members) == 1:
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -5,6 +5,13 @@ the composite digit permutation built from them, and the partner map that
 the unique-solution scan and the exact correlation engine share.
 Everything here is pure-integer and deterministic; no value ever touches
 floating point.
+
+The digit permutation touches only the last mixed-radix digit, whose base
+is the largest prime p and whose weight is 1, so it has the closed form
+pi(i) = i - (i mod p) + ((i mod p)^e mod p). pi_perm evaluates that form
+on whole arrays; to_digits, from_digits and DigitVector spell the digit
+definition out element by element and are the reference the tests hold
+pi_perm to.
 """
 
 from __future__ import annotations
@@ -189,23 +196,21 @@ def default_exponent(p: int) -> int:
 def pi_perm(f: Factorization, e: int | None = None) -> Permutation:
     """Digit permutation on Z_N: the last digit goes through x -> x**e.
 
-    Each i is expanded in mixed radix, only the final digit (base = largest
-    prime) is permuted by the power map, and the digits are recombined.
-    When N is prime this degenerates to power_perm(N, e). If e is omitted,
-    the smallest admissible exponent >= 2 is used.
+    In mixed radix (see to_digits) only the final digit, whose base is the
+    largest prime p and whose weight is 1, is permuted by the power map, so
+    pi(i) = i - (i mod p) + ((i mod p)^e mod p). That closed form is
+    evaluated here with one lookup in the power_perm table; the digit
+    functions are its reference. When N is prime this degenerates to
+    power_perm(N, e). If e is omitted, the smallest admissible exponent
+    >= 2 is used.
     """
     p_last = f.largest_prime
     if e is None:
         e = default_exponent(p_last)
-    xi = power_perm(p_last, e)
-    table: list[int] = []
-    for i in range(f.n):
-        dv = to_digits(i, f)
-        digits = list(dv.digits)
-        last_value, last_base = digits[-1]
-        digits[-1] = (xi(last_value), last_base)
-        table.append(from_digits(DigitVector(tuple(digits)), f))
-    return Permutation(f.n, tuple(table))
+    xi = np.asarray(power_perm(p_last, e).table, dtype=np.int64)
+    i = np.arange(f.n, dtype=np.int64)
+    last = i % p_last
+    return Permutation(f.n, tuple((i - last + xi[last]).tolist()))
 
 
 def partner_map(perm: Permutation, c) -> np.ndarray:

@@ -263,6 +263,45 @@ class TestLoaders:
         with pytest.raises(QcssError, match="line 4: non-integer"):
             load_matrix_csv(tmp_path / "bad.csv")
 
+    def test_boolean_cell(self, perm15):
+        for bad in (True, False):
+            obj = self.bundle(perm15)
+            obj["members"][1]["phases"][4][2] = bad
+            with pytest.raises(QcssError, match="non-integer"):
+                family_from_json_obj(obj)
+        obj = self.bundle(perm15)
+        obj["members"][0]["phases"][0] = [True] * 15
+        with pytest.raises(QcssError, match="non-integer"):
+            family_from_json_obj(obj)
+
+    @pytest.mark.parametrize("bad", [15.0, True, "15", None])
+    def test_non_integer_n(self, bad, perm15):
+        obj = self.bundle(perm15)
+        obj["n"] = bad
+        with pytest.raises(QcssError, match="'n' must be an integer"):
+            family_from_json_obj(obj)
+
+    @pytest.mark.parametrize("bad", [3.0, True, "3", None])
+    def test_non_integer_exponent(self, bad, perm15):
+        obj = self.bundle(perm15)
+        obj["exponent"] = bad
+        with pytest.raises(QcssError, match="'exponent' must be an integer"):
+            family_from_json_obj(obj)
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    def test_non_integer_k(self, bad, perm15):
+        obj = self.bundle(perm15)
+        obj["members"][1]["k"] = bad
+        with pytest.raises(QcssError, match="'k' must be an integer"):
+            family_from_json_obj(obj)
+
+    @pytest.mark.parametrize("bad", [1.0, False, "1", None])
+    def test_non_integer_m(self, bad, perm15):
+        obj = self.bundle(perm15)
+        obj["members"][1]["m"] = bad
+        with pytest.raises(QcssError, match="'m' must be an integer"):
+            family_from_json_obj(obj)
+
     def test_wrong_shape(self, perm15):
         obj = self.bundle(perm15)
         obj["members"][0]["phases"].pop()

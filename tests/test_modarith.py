@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qcss import (
@@ -20,6 +21,7 @@ from qcss import (
     to_digits,
     verify_unique_solution,
 )
+from qcss.bounds import table_rows
 from qcss.modarith import partner_map
 
 ODD_SWEEP = list(range(3, 226, 2))
@@ -207,6 +209,50 @@ class TestPiPerm:
     def test_not_coprime(self):
         with pytest.raises(NotCoprimeError):
             pi_perm(factorize(15), 2)  # gcd(5-1, 2) = 2
+
+
+def admissible(p: int, count: int) -> list[int]:
+    """The first `count` exponents e >= 2 with gcd(p-1, e) = 1."""
+    return [e for e in range(2, 2 + 4 * count) if math.gcd(p - 1, e) == 1][:count]
+
+
+def digit_reference(f, exponents):
+    """pi by its definition, one element at a time: expand i in mixed radix,
+    pass the last digit through power_perm, collapse the digits again."""
+    expanded = [to_digits(i, f).digits for i in range(f.n)]
+    tables = {}
+    for e in exponents:
+        xi = power_perm(f.largest_prime, e)
+        tables[e] = tuple(
+            from_digits(DigitVector((*head, (xi(last), base))), f)
+            for *head, (last, base) in expanded
+        )
+    return tables
+
+
+class TestPiPermClosedForm:
+    """pi_perm evaluates a closed form; the digit functions define pi."""
+
+    def test_every_odd_modulus_below_600(self):
+        for n in range(3, 600, 2):
+            f = factorize(n)
+            for e, want in digit_reference(f, admissible(f.largest_prime, 3)).items():
+                assert pi_perm(f, e).table == want, (n, e)
+
+    def test_table_moduli(self):
+        rng = random.Random(20261018)
+        moduli = sorted({r.length for which in ("iii", "iv", "v") for r in table_rows(which)})
+        for n in (n for n in moduli if n <= 10_000):
+            f = factorize(n)
+            e = rng.choice(admissible(f.largest_prime, 6))
+            assert pi_perm(f, e).table == digit_reference(f, [e])[e], (n, e)
+
+    @pytest.mark.parametrize("e", [3, 7])
+    def test_largest_table_modulus(self, e):
+        n, p = 255255, 17  # 3 * 5 * 7 * 11 * 13 * 17
+        quotient, residue = np.divmod(np.arange(n, dtype=np.int64), p)
+        want = p * quotient + residue**e % p  # 16**7 < 2**63
+        assert pi_perm(factorize(n), e).table == tuple(want.tolist())
 
 
 class TestUniqueSolution:
