@@ -78,7 +78,17 @@ def welch_bound(set_size: int, flock_size: int, length: int) -> float:
 
 def liu_bound(set_size: int, flock_size: int, length: int) -> float:
     """sqrt(M * N * (1 - 2 * sqrt(M / (3K)))); valid for K >= 3M, M >= 2, N >= 2."""
-    failed = [
+    failed = _liu_violations(set_size, flock_size, length)
+    if failed:
+        raise PreconditionViolatedError("violated: " + ", ".join(failed))
+    return math.sqrt(
+        flock_size * length * (1 - 2 * math.sqrt(flock_size / (3 * set_size)))
+    )
+
+
+def _liu_violations(set_size: int, flock_size: int, length: int) -> list[str]:
+    """The Liu bound's preconditions that (K, M, N) violates, empty when it applies."""
+    return [
         label
         for label, ok in (
             ("K >= 3M", set_size >= 3 * flock_size),
@@ -87,15 +97,6 @@ def liu_bound(set_size: int, flock_size: int, length: int) -> float:
         )
         if not ok
     ]
-    if failed:
-        raise PreconditionViolatedError("violated: " + ", ".join(failed))
-    return math.sqrt(
-        flock_size * length * (1 - 2 * math.sqrt(flock_size / (3 * set_size)))
-    )
-
-
-def _liu_applies(set_size: int, flock_size: int, length: int) -> bool:
-    return set_size >= 3 * flock_size and flock_size >= 2 and length >= 2
 
 
 def optimality_factor(params: QcssParams) -> OptimalityReport:
@@ -107,7 +108,7 @@ def optimality_factor(params: QcssParams) -> OptimalityReport:
     """
     K, M, N = params.set_size, params.flock_size, params.length
     welch = welch_bound(K, M, N)
-    liu = liu_bound(K, M, N) if _liu_applies(K, M, N) else None
+    liu = None if _liu_violations(K, M, N) else liu_bound(K, M, N)
     bound, used = (liu, "liu") if liu is not None else (welch, "welch")
     if bound <= 0:
         raise DegenerateParamsError("lower bound is zero; optimality factor undefined")

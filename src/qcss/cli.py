@@ -13,6 +13,7 @@ exits 2 before it starts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -31,8 +32,9 @@ from .bounds import (
     QcssParams,
 )
 from .codebook import PhaseMatrix, SequenceFamily, build_ccc, build_qcss, build_set
+from .codebook import _check_family_indices, _check_in_range
 from .errors import PreconditionViolatedError, QcssError
-from .modarith import Factorization, default_exponent, factorize, pi_perm, verify_unique_solution
+from .modarith import Factorization, default_exponent, factorize, pi_perm, power_perm, verify_unique_solution
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,22 +68,23 @@ def matrix_to_csv_text(mat: PhaseMatrix, exponent: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _phase_matrix(n: int, k: int, m: int, cells) -> PhaseMatrix:
-    """PhaseMatrix from decoded JSON cells; ragged rows, a non-integer or
-    boolean cell or a wrong shape raise QcssError."""
+def _phase_cells(cells: list) -> np.ndarray:
+    """The (K, N, N) phases of a bundle's members, from their decoded JSON
+    cells in one array; ragged rows or a non-integer or boolean cell raise
+    QcssError."""
     try:
         phases = np.array(cells)
     except ValueError:  # ragged rows
         phases = np.array(None)
     if phases.size and phases.dtype.kind not in "iu":
-        raise _ArgError(f"phases of set k={k}, m={m}: ragged rows or a non-integer cell")
-    if phases.ndim == 2:
+        raise _ArgError("member phases: ragged rows or a non-integer cell")
+    if phases.ndim == 3:
         # np.array reads JSON true/false among integers as 1/0, so only the
         # cells that read 0 or 1 need their Python type looked at.
-        rows, cols = np.nonzero((phases == 0) | (phases == 1))
-        if any(type(cells[r][c]) is bool for r, c in zip(rows.tolist(), cols.tolist())):
-            raise _ArgError(f"phases of set k={k}, m={m}: a non-integer cell (true or false)")
-    return PhaseMatrix(n, k, m, phases)
+        where = zip(*(axis.tolist() for axis in np.nonzero((phases == 0) | (phases == 1))))
+        if any(type(cells[u][r][c]) is bool for u, r, c in where):
+            raise _ArgError("member phases: a non-integer cell (true or false)")
+    return phases
 
 
 def _integer(name: str, value) -> int:
@@ -109,8 +112,9 @@ def _first_bad_line(lines: list[str]) -> str:
 def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
     """Inverse of matrix_to_csv_text; returns the matrix and the exponent.
 
-    Blank lines, CRLF line ends and spaces around cells are accepted.
-    Malformed text raises QcssError.
+    Blank lines, CRLF line ends and spaces around cells are accepted; the
+    last header line wins. Malformed text, and a header whose N, k, m or e
+    the construction cannot have, raise QcssError.
     """
     lines = [line.strip() for line in text.splitlines()]
     with warnings.catch_warnings():
@@ -125,6 +129,8 @@ def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
     if not headers:
         raise _ArgError("missing '# N=..., k=..., m=..., e=...' header line")
     n, k, m, e = (int(g) for g in headers[-1].groups())
+    power_perm(_check_family_indices(n, k).largest_prime, e)  # refuses unless gcd(p - 1, e) = 1
+    _check_in_range(n, m=m)
     return PhaseMatrix(n, k, m, phases), e
 
 
@@ -150,21 +156,33 @@ def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
 def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
     """Inverse of family_to_json_obj: (members, exponent, kind). A bundle
     with a missing key, a non-integer field or cell or a wrong shape raises
-    QcssError."""
+    QcssError, and so does one the construction cannot have: an even or
+    too small N, an inadmissible exponent, a "set" bundle that is not one
+    set with 1 <= k < p0 and 0 <= m < N, or a "ccc" or "qcss" bundle whose
+    members are not that family's (k, m) in order."""
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != SCHEMA:
         raise _ArgError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
     try:
-        n = _integer("n", obj["n"])
-        members = [
-            _phase_matrix(n, _integer("k", rec["k"]), _integer("m", rec["m"]), rec["phases"])
-            for rec in obj["members"]
-        ]
-        return members, _integer("exponent", obj["exponent"]), obj["kind"]
+        n, exponent, kind = _integer("n", obj["n"]), _integer("exponent", obj["exponent"]), obj["kind"]
+        power_perm(factorize(n).largest_prime, exponent)  # refuses unless gcd(p - 1, e) = 1
+        labels = [(_integer("k", rec["k"]), _integer("m", rec["m"])) for rec in obj["members"]]
+        phases = _phase_cells([rec["phases"] for rec in obj["members"]])
     except KeyError as exc:
         raise _ArgError(f"family bundle lacks the key {exc}") from None
     except TypeError:
         raise _ArgError("family bundle members must be a list of objects") from None
+    if kind == "set" and len(labels) == 1:
+        [(k, m)] = labels
+        _check_family_indices(n, k)
+        _check_in_range(n, m=m)
+        return [PhaseMatrix(n, k, m, phases[0])], exponent, kind
+    if kind not in ("ccc", "qcss"):
+        raise _ArgError(f"a {kind!r} bundle of {len(labels)} sets: expected one set, or a ccc or qcss family")
+    family = SequenceFamily(n, kind, phases, k=labels[0][0] if kind == "ccc" and labels else None)
+    if labels != [(mat.k, mat.m) for mat in family]:
+        raise _ArgError(f"members are not the (k, m) of a {kind} family in order")
+    return list(family.members), exponent, kind
 
 
 def _read(path: str | Path, decode):
@@ -194,16 +212,14 @@ def _make_perm(f: Factorization, exponent: int | None):
 
 
 def _corrupt_member(family: SequenceFamily, k: int, m: int, s: int, t: int) -> SequenceFamily:
-    """Test hook: add 1 (mod N) to a single phase entry of one member."""
-    n = family.n
-    members = []
-    for mat in family.members:
-        if mat.k == k and mat.m == m:
-            phases = mat.phases.copy()
-            phases[s, t] = (phases[s, t] + 1) % n
-            mat = PhaseMatrix(n, mat.k, mat.m, phases)
-        members.append(mat)
-    return SequenceFamily(n, family.kind, tuple(members), k=family.k)
+    """Test hook: add 1 (mod N) to entry (s, t) of member (k, m), in a copy
+    of the family's array; a family without that member comes back as is."""
+    for u, mat in enumerate(family):
+        if (mat.k, mat.m) == (k, m):
+            phases = family.phases.copy()
+            phases[u, s, t] = (phases[u, s, t] + 1) % family.n
+            return SequenceFamily(family.n, family.kind, phases, k=family.k)
+    return family
 
 
 def _parse_corrupt(raw: str, n: int, p0: int) -> tuple[int, int, int, int]:
@@ -230,34 +246,36 @@ def _cmd_generate(args) -> int:
     if args.m is not None and args.k is None:
         raise _ArgError("--m requires --k")
     if args.k is not None and args.m is not None:
-        members = [build_set(args.k, args.m, perm)]
-        kind = "set"
+        kind, labels = "set", [(args.k, args.m)]
     elif args.k is not None:
-        members = list(build_ccc(args.k, perm).members)
-        kind = "ccc"
+        kind, labels = "ccc", [(args.k, m) for m in range(n)]
     else:
-        members = list(build_qcss(f, perm).members)
-        kind = "qcss"
+        kind, labels = "qcss", [(k, m) for k in range(1, p0) for m in range(n)]
+    # Exports are written set by set, so the sets are built one at a time: a
+    # CSV export holds one N x N matrix, never a whole (K, N, N) family. The
+    # first set is built, and its indices checked, before anything is written.
+    sets = (build_set(k, m, perm) for k, m in labels)
+    first = next(sets)
 
     out = Path(args.out)
     if args.format == "json":
         out.parent.mkdir(parents=True, exist_ok=True)
         # One dumps call: json.dump would write the text in many small pieces.
-        out.write_text(json.dumps(family_to_json_obj(members, n, e, kind)), encoding="utf-8")
+        out.write_text(json.dumps(family_to_json_obj([first, *sets], n, e, kind)), encoding="utf-8")
         written = [out]
-    elif len(members) == 1:
+    elif kind == "set":
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(matrix_to_csv_text(members[0], e), encoding="utf-8")
+        out.write_text(matrix_to_csv_text(first, e), encoding="utf-8")
         written = [out]
     else:
         out.mkdir(parents=True, exist_ok=True)
         written = []
-        for mat in members:
+        for mat in itertools.chain([first], sets):
             path = out / f"n{n}_k{mat.k}_m{mat.m}.csv"
             path.write_text(matrix_to_csv_text(mat, e), encoding="utf-8")
             written.append(path)
 
-    print(f"K={len(members)} M={n} N={n} p0={p0} e={e}")
+    print(f"K={len(labels)} M={n} N={n} p0={p0} e={e}")
     print(f"wrote {len(written)} file(s) under {out}")
     return EXIT_OK
 

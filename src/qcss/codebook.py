@@ -3,15 +3,17 @@
 A single complementary set is an N x N table of integer phases mod N with
 entry k*s*pi(t) + m*t (mod N) at row s, column t. Collecting m = 0..N-1
 for one family index k gives a complete complementary code; pooling all
-k = 1..p0-1 gives the combined quasi-complementary set. Phases stay exact
-integers here; complex values are materialized only by the correlation
-engine.
+k = 1..p0-1 gives the combined quasi-complementary set. A family holds its
+K sets as one read-only (K, N, N) int64 array, built by one broadcast of
+that formula, and serves each member as a PhaseMatrix view of it. Phases
+stay exact integers here; complex values are materialized only by the
+correlation engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Literal
+from dataclasses import dataclass, field
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -19,6 +21,32 @@ from .errors import BadFamilyIndexError, OutOfRangeError, ShapeMismatchError
 from .modarith import Factorization, Permutation, factorize
 
 FamilyKind = Literal["ccc", "qcss"]
+
+
+def _checked_phases(phases, shape: tuple[int, ...], n: int) -> np.ndarray:
+    """phases as read-only C-contiguous int64 of the given shape, entries in [0, n)."""
+    phases = np.ascontiguousarray(phases, dtype=np.int64)
+    if phases.shape != shape:
+        raise ShapeMismatchError(f"phases must be {'x'.join(map(str, shape))}, got {phases.shape}")
+    if phases.size and (phases.min() < 0 or phases.max() >= n):
+        raise OutOfRangeError("phase entries must lie in [0, N)")
+    phases.setflags(write=False)
+    return phases
+
+
+def _check_family_indices(n: int, *ks: int) -> Factorization:
+    """factorize(n), after checking that every family index k lies in [1, p0)."""
+    f = factorize(n)
+    for k in ks:
+        if not 1 <= k < f.least_prime:
+            raise BadFamilyIndexError(f"family index k={k} outside [1, {f.least_prime})")
+    return f
+
+
+def _check_in_range(n: int, **values: int) -> None:
+    for name, value in values.items():
+        if not 0 <= value < n:
+            raise OutOfRangeError(f"{name}={value} outside [0, {n})")
 
 
 @dataclass(eq=False)
@@ -31,15 +59,14 @@ class PhaseMatrix:
     phases: np.ndarray
 
     def __post_init__(self) -> None:
-        phases = np.ascontiguousarray(self.phases, dtype=np.int64)
-        if phases.shape != (self.n, self.n):
-            raise ShapeMismatchError(
-                f"phases must be {self.n}x{self.n}, got {phases.shape}"
-            )
-        if phases.size and (phases.min() < 0 or phases.max() >= self.n):
-            raise OutOfRangeError("phase entries must lie in [0, N)")
-        phases.setflags(write=False)
-        self.phases = phases
+        self.phases = _checked_phases(self.phases, (self.n, self.n), self.n)
+
+    @classmethod
+    def _view(cls, n: int, k: int, m: int, phases: np.ndarray) -> PhaseMatrix:
+        """A member of a family whose array was checked as a whole: no copy, no check."""
+        mat = object.__new__(cls)
+        mat.n, mat.k, mat.m, mat.phases = n, k, m, phases
+        return mat
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PhaseMatrix):
@@ -54,31 +81,35 @@ class PhaseMatrix:
 
 @dataclass(eq=False)
 class SequenceFamily:
-    """An ordered collection of phase matrices.
+    """K phase matrices held as one read-only (K, N, N) int64 array.
 
-    kind "ccc":  the N sets sharing one family index k, m = 0..N-1 in order.
-    kind "qcss": all N*(p0-1) sets, ordered by global index u = (k-1)*N + m.
+    kind "ccc":  the N sets sharing one family index k; member u is (k, u).
+    kind "qcss": all N*(p0-1) sets; member u is (u // N + 1, u % N), so
+                 u = (k-1)*N + m.
+    Members are PhaseMatrix views of phases[u], labelled by their position.
     """
 
     n: int
     kind: FamilyKind
-    members: tuple[PhaseMatrix, ...]
+    phases: np.ndarray
     k: int | None = None
+    members: tuple[PhaseMatrix, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if any(mat.n != self.n for mat in self.members):
-            raise ShapeMismatchError("all members must share the same modulus")
+        n = self.n
         if self.kind == "ccc":
             if self.k is None:
                 raise ShapeMismatchError("a ccc family needs its index k")
-            expected = [(self.k, m) for m in range(self.n)]
+            _check_family_indices(n, self.k)
+            first, size = self.k, n
         elif self.kind == "qcss":
-            p0 = factorize(self.n).least_prime
-            expected = [(k, m) for k in range(1, p0) for m in range(self.n)]
+            first, size = 1, n * (factorize(n).least_prime - 1)
         else:
             raise ShapeMismatchError(f"unknown family kind {self.kind!r}")
-        if [(mat.k, mat.m) for mat in self.members] != expected:
-            raise ShapeMismatchError(f"members do not form a {self.kind} family in order")
+        self.phases = _checked_phases(self.phases, (size, n, n), n)
+        self.members = tuple(
+            PhaseMatrix._view(n, first + u // n, u % n, self.phases[u]) for u in range(size)
+        )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -96,45 +127,43 @@ class SequenceFamily:
             self.n == other.n
             and self.kind == other.kind
             and self.k == other.k
-            and len(self.members) == len(other.members)
-            and all(a == b for a, b in zip(self.members, other.members))
+            and np.array_equal(self.phases, other.phases)
         )
 
 
-def _check_indices(k: int, m: int, n: int, p0: int) -> None:
-    if not 1 <= k < p0:
-        raise BadFamilyIndexError(f"family index k={k} outside [1, {p0})")
-    if not 0 <= m < n:
-        raise OutOfRangeError(f"set index m={m} outside [0, {n})")
+def _broadcast(perm: Permutation, ks: Sequence[int], ms: Sequence[int]) -> np.ndarray:
+    """(len(ks) * len(ms), N, N) phases k*s*pi(t) + m*t (mod N), k-major:
+    the set (ks[i], ms[j]) sits at i * len(ms) + j."""
+    n = perm.modulus
+    pi = np.asarray(perm.table, dtype=np.int64)
+    k = np.asarray(ks, dtype=np.int64)[:, None, None, None]
+    m = np.asarray(ms, dtype=np.int64)[None, :, None, None]
+    s = np.arange(n, dtype=np.int64)[:, None]
+    t = np.arange(n, dtype=np.int64)
+    phases = k * s * pi + m * t
+    return np.remainder(phases, n, out=phases).reshape(-1, n, n)
 
 
 def phase(k: int, m: int, s: int, t: int, perm: Permutation) -> int:
     """Single phase value k*s*pi(t) + m*t (mod N)."""
     n = perm.modulus
-    p0 = factorize(n).least_prime
-    _check_indices(k, m, n, p0)
-    for name, val in (("s", s), ("t", t)):
-        if not 0 <= val < n:
-            raise OutOfRangeError(f"{name}={val} outside [0, {n})")
+    _check_family_indices(n, k)
+    _check_in_range(n, m=m, s=s, t=t)
     return (k * s * perm.table[t] + m * t) % n
 
 
 def build_set(k: int, m: int, perm: Permutation) -> PhaseMatrix:
     """Phase matrix of one complementary set, rows indexed by s."""
     n = perm.modulus
-    p0 = factorize(n).least_prime
-    _check_indices(k, m, n, p0)
-    pi = np.asarray(perm.table, dtype=np.int64)
-    s = np.arange(n, dtype=np.int64)[:, None]
-    t = np.arange(n, dtype=np.int64)[None, :]
-    return PhaseMatrix(n, k, m, (k * s * pi[None, :] + m * t) % n)
+    _check_family_indices(n, k)
+    _check_in_range(n, m=m)
+    return PhaseMatrix(n, k, m, _broadcast(perm, [k], [m])[0])
 
 
 def build_ccc(k: int, perm: Permutation) -> SequenceFamily:
     """The complete complementary code for one family index: m = 0..N-1."""
     n = perm.modulus
-    members = tuple(build_set(k, m, perm) for m in range(n))
-    return SequenceFamily(n, "ccc", members, k=k)
+    return SequenceFamily(n, "ccc", _broadcast(perm, [k], range(n)), k=k)
 
 
 def build_qcss(f: Factorization, perm: Permutation) -> SequenceFamily:
@@ -146,7 +175,4 @@ def build_qcss(f: Factorization, perm: Permutation) -> SequenceFamily:
         raise ShapeMismatchError(
             f"permutation modulus {perm.modulus} does not match n = {f.n}"
         )
-    members = tuple(
-        build_set(k, m, perm) for k in range(1, f.least_prime) for m in range(f.n)
-    )
-    return SequenceFamily(f.n, "qcss", members)
+    return SequenceFamily(f.n, "qcss", _broadcast(perm, range(1, f.least_prime), range(f.n)))

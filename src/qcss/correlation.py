@@ -13,8 +13,10 @@ FFT scanners serve arbitrary phase matrices, and the tests hold the two
 engines equal on constructed families.
 
 One FFT scan core (_scan) serves verify_ccc, verify_interset and
-delta_max_scan: frequency-major (L, K, N) row spectra, L*K*N*16 bytes, and
-a QcssError up front for a scan that would not fit in physical memory.
+delta_max_scan. It reads a family's (K, N, N) phase array a tile at a
+time into frequency-major (L, K, N) row spectra, L*K*N*16 bytes, and
+raises a QcssError up front for a scan that would not fit in physical
+memory.
 Fixed tiles of 32 member rows bound the memory of one step and fix the
 reduction order; the argmax is the first maximum in ascending (first
 member, second member, shift) order. A family against itself computes
@@ -26,20 +28,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .codebook import PhaseMatrix, SequenceFamily
+from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices
 from .errors import (
-    BadFamilyIndexError,
     FamilyMismatchError,
     LengthMismatchError,
     QcssError,
     ShapeMismatchError,
     ShiftOutOfRangeError,
 )
-from .modarith import Factorization, Permutation, factorize, partner_map
+from .modarith import Factorization, Permutation, partner_map
 
 _ROOT_TABLES: dict[int, np.ndarray] = {}
 
@@ -230,14 +230,14 @@ def check_scan_memory(members: int, n: int) -> int:
     return need
 
 
-def _spectra(members: Sequence[PhaseMatrix], length: int) -> np.ndarray:
-    """Row spectra of every member, frequency-major: C-contiguous complex
-    (L, K, N), spectra[f, u, s] = DFT of row s of member u at frequency f,
-    built one tile of members at a time straight into place."""
-    roots = roots_of_unity(members[0].n)
-    out = np.empty((length, len(members), members[0].n), dtype=complex)
-    for lo in range(0, len(members), _TILE_ROWS):
-        chunk = roots[np.stack([mat.phases for mat in members[lo : lo + _TILE_ROWS]])]
+def _spectra(phases: np.ndarray, length: int) -> np.ndarray:
+    """Row spectra of a (K, N, N) phase array, frequency-major: C-contiguous
+    complex (L, K, N), spectra[f, u, s] = DFT of row s of member u at
+    frequency f, built one tile of members at a time straight into place."""
+    roots = roots_of_unity(phases.shape[-1])
+    out = np.empty((length, *phases.shape[:2]), dtype=complex)
+    for lo in range(0, len(phases), _TILE_ROWS):
+        chunk = roots[phases[lo : lo + _TILE_ROWS]]
         np.fft.fft(chunk, n=length, axis=2, out=out[:, lo : lo + len(chunk)].transpose(1, 2, 0))
     return out
 
@@ -247,8 +247,9 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _scan(rows: Sequence[PhaseMatrix], cols: Sequence[PhaseMatrix] | None = None, tally=None):
-    """The FFT scan core: the first maximum of |R| over a scan domain.
+def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
+    """The FFT scan core: the first maximum of |R| over a scan domain of
+    (K, N, N) phase arrays.
 
     With cols None the domain is every ordered pair of rows (u1, u2) over
     shifts 0..N-1, less the in-phase terms (u, u, 0): only the tiles rows
@@ -259,8 +260,8 @@ def _scan(rows: Sequence[PhaseMatrix], cols: Sequence[PhaseMatrix] | None = None
     terms read -1). Returns the largest magnitude, its first (u1, u2, tau)
     and the value R there.
     """
-    n, length, mirror = rows[0].n, _fft_length(rows[0].n), cols is None
-    check_scan_memory(len(rows) + len(cols or ()), n)
+    n, length, mirror = rows.shape[-1], _fft_length(rows.shape[-1]), cols is None
+    check_scan_memory(len(rows) + (0 if mirror else len(cols)), n)
     spectra = _spectra(rows, length)
     other = spectra if mirror else _spectra(cols, length)
     # One set of tile buffers, reused: no page faults on every tile.
@@ -308,32 +309,37 @@ def _scan(rows: Sequence[PhaseMatrix], cols: Sequence[PhaseMatrix] | None = None
     return best, where, value
 
 
-def _members_of(family) -> tuple[PhaseMatrix, ...]:
+def _phase_array(family) -> np.ndarray:
+    """The (K, N, N) phase array of a SequenceFamily, or of a plain
+    sequence of PhaseMatrix over one modulus."""
+    if isinstance(family, SequenceFamily):
+        return family.phases
     members = tuple(family)
     if not members or any(mat.n != members[0].n for mat in members):
         raise LengthMismatchError("a family needs members, all over one modulus")
-    return members
+    return np.stack([mat.phases for mat in members])
 
 
 def verify_ccc(family, tol: float | None = None) -> CccReport:
-    """Exhaustively check that a family is completely complementary.
+    """Exhaustively check that a family (a SequenceFamily or a sequence of
+    PhaseMatrix) is completely complementary.
 
     Scans every ordered member pair (m1, m2) and every shift 0 <= tau <= N-1:
     the flock-summed correlation must be N^2 at (m1 = m2, tau = 0) and 0
     everywhere else, within tol (default 1e-6 * N^2). The report's argmax
     is the location of the largest deviation from the expected value.
     """
-    members = _members_of(family)
-    n = members[0].n
+    phases = _phase_array(family)
+    n = phases.shape[-1]
     if tol is None:
         tol = 1e-6 * n * n
-    offpeak_max, argmax, value = _scan(members)
+    offpeak_max, argmax, value = _scan(phases)
     offpeak_max = max(offpeak_max, 0.0)
-    peaks = np.abs(np.array([set_xcorr(mat, mat, 0) for mat in members]) - n * n)  # direct sums
+    peaks = np.abs(np.array([set_xcorr(mat, mat, 0) for mat in family]) - n * n)  # direct sums
     m = int(np.argmax(peaks))
     peak_dev = float(peaks[m])
     if peak_dev > offpeak_max or (peak_dev == offpeak_max and (m, m, 0) < argmax):
-        argmax, value = (m, m, 0), set_xcorr(members[m], members[m], 0)
+        argmax, value = (m, m, 0), set_xcorr(family[m], family[m], 0)
     max_dev = max(peak_dev, offpeak_max)
     ok = max_dev <= tol
     worst = None if ok else SetCorrelationViolation(*argmax, value, max_dev)
@@ -358,7 +364,7 @@ def verify_interset(f1: SequenceFamily, f2: SequenceFamily, tol: float | None = 
         tol = 1e-6 * n
     worst = [0.0]  # distance to the nearer of {0, N}, per part
     max_mag, argmax, _ = _scan(
-        f1.members, f2.members, lambda mags: worst.append(np.minimum(mags, np.abs(mags - n)).max())
+        f1.phases, f2.phases, lambda mags: worst.append(np.minimum(mags, np.abs(mags - n)).max())
     )
     dichotomy = float(max(worst))
     ok = max_mag <= n + tol
@@ -375,17 +381,17 @@ def delta_max_scan(family, tol: float | None = None, histogram_bins: int = 0) ->
     affect the scan. With histogram_bins > 0 the report also carries a
     magnitude histogram over [0, N^2], counted over the ordered domain.
     """
-    members = _members_of(family)
-    n = members[0].n
+    phases = _phase_array(family)
+    n = phases.shape[-1]
     edges = np.linspace(0.0, float(n * n), histogram_bins + 1)
     counts = np.zeros(histogram_bins, dtype=np.int64)
 
     def tally(mags: np.ndarray) -> None:
         counts[:] += np.histogram(mags, bins=edges)[0]  # the -1 in-phase terms fall outside
 
-    delta_max, argmax, _ = _scan(members, tally=tally if histogram_bins else None)
+    delta_max, argmax, _ = _scan(phases, tally=tally if histogram_bins else None)
     histogram = (counts, edges) if histogram_bins else None
-    return CorrelationReport(delta_max, argmax, n, len(members), tol, histogram)
+    return CorrelationReport(delta_max, argmax, n, len(phases), tol, histogram)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +415,6 @@ def delta_max_scan(family, tol: float | None = None, histogram_bins: int = 0) ->
 # property; it is counted, not assumed away, and the reports show it.
 
 
-def _check_family_indices(perm: Permutation, *ks: int) -> int:
-    n = perm.modulus
-    p0 = factorize(n).least_prime
-    for k in ks:
-        if not 1 <= k < p0:
-            raise BadFamilyIndexError(f"family index k={k} outside [1, {p0})")
-    return n
-
-
 def _shift_counts(n: int, partners: np.ndarray) -> np.ndarray:
     """|S_tau| for tau = -(N-1)..N-1, one row per row of partners: (R, 2N-1)."""
     rows = partners.reshape(-1, n)
@@ -435,7 +432,8 @@ def verify_ccc_exact(k: int, perm: Permutation, tol: float | None = None) -> Ccc
     first maximum is (0, 0, 0). Same report as
     verify_ccc(build_ccc(k, perm)), default tol 1e-6 * N^2.
     """
-    n = _check_family_indices(perm, k)
+    n = perm.modulus
+    _check_family_indices(n, k)
     if tol is None:
         tol = 1e-6 * n * n
     ok = 0.0 <= tol
@@ -455,7 +453,8 @@ def verify_interset_exact(
     0 when every |S_tau| <= 1; the argmax is the first maximum in
     (m1, m2, tau) order.
     """
-    n = _check_family_indices(perm, k1, k2)
+    n = perm.modulus
+    _check_family_indices(n, k1, k2)
     if k1 == k2:
         raise FamilyMismatchError(f"families must have distinct indices, both k={k1}")
     if tol is None:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcss import QcssError, build_qcss, build_set, correlation, factorize, pi_perm
+from qcss import QcssError, build_ccc, build_qcss, build_set, correlation, factorize, pi_perm
 from qcss import cli
 from qcss.cli import (
     EXIT_BAD_ARGS,
@@ -230,9 +230,78 @@ class TestLoaders:
     JSONDecodeError, KeyError or ValueError."""
 
     @staticmethod
-    def bundle(perm15):
+    def bundle(perm15, kind="ccc"):
+        members = [build_set(1, 4, perm15)] if kind == "set" else list(build_ccc(1, perm15).members)
+        return json.loads(json.dumps(family_to_json_obj(members, 15, 3, kind)))
+
+    @pytest.mark.parametrize("kind", ["set", "ccc"])
+    def test_valid_bundle_loads(self, kind, perm15):
+        members, exponent, loaded_kind = family_from_json_obj(self.bundle(perm15, kind))
+        assert (len(members), exponent, loaded_kind) == ({"set": 1, "ccc": 15}[kind], 3, kind)
+
+    @pytest.mark.parametrize("kind", ["set", "ccc"])
+    def test_family_index_out_of_range(self, kind, perm15):
+        obj = self.bundle(perm15, kind)
+        obj["members"][0]["k"] = 999
+        with pytest.raises(QcssError, match="k=999"):
+            family_from_json_obj(obj)
+
+    def test_set_index_out_of_range(self, perm15):
+        obj = self.bundle(perm15, "set")
+        obj["members"][0]["m"] = 15
+        with pytest.raises(QcssError, match="m=15"):
+            family_from_json_obj(obj)
+
+    def test_inadmissible_exponent(self, perm15):
+        obj = self.bundle(perm15)
+        obj["exponent"] = 2  # gcd(5 - 1, 2) = 2 at N = 15
+        with pytest.raises(QcssError, match="gcd"):
+            family_from_json_obj(obj)
+
+    def test_even_modulus(self, perm15):
+        obj = self.bundle(perm15, "set")
+        obj["n"] = 16
+        with pytest.raises(QcssError, match="odd"):
+            family_from_json_obj(obj)
+
+    def test_unknown_kind(self, perm15):
+        obj = self.bundle(perm15)
+        obj["kind"] = "banana"
+        with pytest.raises(QcssError, match="banana"):
+            family_from_json_obj(obj)
+
+    def test_duplicate_member(self, perm15):
+        obj = self.bundle(perm15)
+        obj["members"][1]["m"] = 0
+        with pytest.raises(QcssError, match="in order"):
+            family_from_json_obj(obj)
+
+    def test_partial_pool(self, perm15):
         f = factorize(15)
-        return json.loads(json.dumps(family_to_json_obj(list(build_qcss(f, perm15).members)[:2], 15, 3, "qcss")))
+        obj = family_to_json_obj(list(build_qcss(f, perm15).members)[:2], 15, 3, "qcss")
+        with pytest.raises(QcssError, match="phases must be 30x15x15"):
+            family_from_json_obj(json.loads(json.dumps(obj)))
+
+    def test_two_sets_in_a_set_bundle(self, perm15):
+        obj = self.bundle(perm15, "set")
+        obj["members"].append(obj["members"][0])
+        with pytest.raises(QcssError, match="one set"):
+            family_from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "header,size,match",
+        [
+            ("# N=4, k=0, m=7, e=2", 4, "odd"),
+            ("# N=15, k=0, m=0, e=3", 15, "k=0"),
+            ("# N=15, k=3, m=0, e=3", 15, "k=3"),
+            ("# N=15, k=1, m=15, e=3", 15, "m=15"),
+            ("# N=15, k=1, m=0, e=2", 15, "gcd"),
+        ],
+    )
+    def test_csv_header_values(self, header, size, match):
+        rows = [",".join(["0"] * size)] * size
+        with pytest.raises(QcssError, match=match):
+            matrix_from_csv_text("\n".join([header, *rows]))
 
     def test_bad_json(self, tmp_path):
         for text in ("{not json", "", "\xff\xfe"):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcss import (
     BadFamilyIndexError,
@@ -14,6 +18,7 @@ from qcss import (
     phase,
     pi_perm,
 )
+from qcss import cli, codebook
 
 
 class TestPhase:
@@ -128,14 +133,87 @@ class TestBuildQcss:
 
 
 class TestFamilyType:
-    def test_rejects_out_of_order_members(self, perm15):
-        fam = build_ccc(1, perm15)
-        shuffled = (fam.members[1], fam.members[0]) + fam.members[2:]
+    def test_rejects_wrong_member_count(self, perm15):
+        # Members are labelled by their position, so a family cannot hold
+        # them out of order; it can only hold the wrong number of them.
+        phases = build_ccc(1, perm15).phases
         with pytest.raises(ShapeMismatchError):
-            SequenceFamily(15, "ccc", shuffled, k=1)
+            SequenceFamily(15, "ccc", phases[1:], k=1)
+        with pytest.raises(ShapeMismatchError):
+            SequenceFamily(15, "qcss", phases)  # the N = 15 pool has 30 members
+
+    def test_rejects_bad_kind_and_index(self, perm15):
+        phases = build_ccc(1, perm15).phases
+        with pytest.raises(ShapeMismatchError):
+            SequenceFamily(15, "pool", phases, k=1)
+        with pytest.raises(ShapeMismatchError):
+            SequenceFamily(15, "ccc", phases)
+        with pytest.raises(BadFamilyIndexError):
+            SequenceFamily(15, "ccc", phases, k=3)
+        with pytest.raises(OutOfRangeError):
+            SequenceFamily(15, "ccc", phases + 1, k=1)
 
     def test_rejects_bad_phases(self):
         with pytest.raises(OutOfRangeError):
             PhaseMatrix(3, 1, 0, np.full((3, 3), 3))
         with pytest.raises(ShapeMismatchError):
             PhaseMatrix(3, 1, 0, np.zeros((3, 4), dtype=np.int64))
+
+
+@st.composite
+def construction(draw):
+    """(f, perm) for an odd N <= 45 and an exponent the construction admits."""
+    f = factorize(draw(st.integers(1, 22).map(lambda h: 2 * h + 1)))
+    p = f.largest_prime
+    e = draw(st.sampled_from([e for e in range(1, 2 * p) if math.gcd(p - 1, e) == 1]))
+    return f, pi_perm(f, e)
+
+
+class TestFamilyArray:
+    @settings(max_examples=40, deadline=None)
+    @given(construction(), st.data())
+    def test_pool_is_one_array_of_views(self, fp, data):
+        f, perm = fp
+        n = f.n
+        family = build_qcss(f, perm)
+        assert family.phases.shape == (len(family), n, n) and family.phases.dtype == np.int64
+        assert family.phases.flags.c_contiguous and not family.phases.flags.writeable
+        for _ in range(5):
+            u = data.draw(st.integers(0, len(family) - 1), label="u")
+            s, t = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="s, t")
+            k, m = u // n + 1, u % n
+            assert family.phases[u, s, t] == phase(k, m, s, t, perm)
+            mat = family[u]
+            assert (mat.n, mat.k, mat.m) == (n, k, m)
+            assert np.shares_memory(mat.phases, family.phases)
+            with pytest.raises(ValueError):
+                mat.phases[s, t] = 0
+
+    def test_members_are_stable_views(self, perm15):
+        family = build_ccc(2, perm15)
+        assert [(mat.k, mat.m) for mat in family] == [(2, m) for m in range(15)]
+        assert all(a is b for a, b in zip(family, family.members))
+        assert family[3] is family.members[3]
+
+    def test_corrupted_copy_leaves_source(self, perm15):
+        family = build_qcss(factorize(15), perm15)
+        before = family.phases.copy()
+        corrupted = cli._corrupt_member(family, 2, 7, 3, 5)  # member u = 15 + 7
+        assert np.array_equal(family.phases, before)
+        assert not np.shares_memory(corrupted.phases, family.phases)
+        assert corrupted.phases[22, 3, 5] == (before[22, 3, 5] + 1) % 15
+        assert np.count_nonzero(corrupted.phases != before) == 1
+        assert corrupted[22].k == 2 and corrupted[22].m == 7
+        other = build_ccc(1, perm15)
+        assert cli._corrupt_member(other, 2, 7, 3, 5) is other  # no member (2, 7)
+
+    def test_pool_factorizes_once(self, monkeypatch, perm15):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(codebook, "factorize", counted)
+        build_qcss(factorize(15), perm15)
+        assert len(calls) <= 1

@@ -5,7 +5,9 @@ both round trips must be lossless, and the CSV reader must keep accepting
 the loose layouts it always accepted and refusing malformed cells.
 """
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcss import QcssError
+from qcss import QcssError, factorize
 from qcss.cli import family_from_json_obj, family_to_json_obj, matrix_from_csv_text, matrix_to_csv_text
 from qcss.codebook import PhaseMatrix
 
@@ -25,16 +27,32 @@ exponents = st.integers(1, 10**6)
 
 @st.composite
 def phase_matrix(draw, n=None):
+    """A set with labels the construction can have (1 <= k < p0) and random phases."""
     n = draw(moduli) if n is None else n
-    k = draw(st.integers(1, n - 1))
+    k = draw(st.integers(1, factorize(n).least_prime - 1))
     m = draw(st.integers(0, n - 1))
     return PhaseMatrix(n, k, m, draw(arrays(np.int64, (n, n), elements=st.integers(0, n - 1))))
 
 
 @st.composite
-def family(draw):
+def admissible_exponent(draw, n):
+    """The first exponent from a drawn start on with gcd(p - 1, e) = 1, p the
+    largest prime of N: the loaders refuse any other."""
+    p = factorize(n).largest_prime
+    return next(e for e in itertools.count(draw(exponents)) if math.gcd(p - 1, e) == 1)
+
+
+@st.composite
+def family(draw, kind):
+    """The members of a bundle of the given kind, in its (k, m) layout,
+    with seeded random phases."""
     n = draw(moduli)
-    return draw(st.lists(phase_matrix(n), min_size=1, max_size=3))
+    if kind == "set":
+        return [draw(phase_matrix(n))]
+    p0 = factorize(n).least_prime
+    ks = [draw(st.integers(1, p0 - 1))] if kind == "ccc" else range(1, p0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [PhaseMatrix(n, k, m, rng.integers(0, n, (n, n))) for k in ks for m in range(n)]
 
 
 def per_cell_csv(mat: PhaseMatrix, exponent: int) -> str:
@@ -51,23 +69,27 @@ def test_csv_text_is_str_of_every_cell(mat, exponent):
 
 
 @PROPERTY
-@given(phase_matrix(), exponents)
-def test_csv_round_trip(mat, exponent):
+@given(phase_matrix(), st.data())
+def test_csv_round_trip(mat, data):
+    exponent = data.draw(admissible_exponent(mat.n))
     back, e = matrix_from_csv_text(matrix_to_csv_text(mat, exponent))
     assert back == mat and e == exponent
 
 
 @PROPERTY
-@given(family(), exponents, st.sampled_from(["set", "ccc", "qcss"]))
-def test_json_round_trip(members, exponent, kind):
+@given(st.sampled_from(["set", "ccc", "qcss"]), st.data())
+def test_json_round_trip(kind, data):
+    members = data.draw(family(kind))
+    exponent = data.draw(admissible_exponent(members[0].n))
     obj = family_to_json_obj(members, members[0].n, exponent, kind)
     back, e, back_kind = family_from_json_obj(json.loads(json.dumps(obj)))
     assert back == members and (e, back_kind) == (exponent, kind)
 
 
 @PROPERTY
-@given(phase_matrix(), exponents, st.data())
-def test_reader_accepts_loose_layout(mat, exponent, data):
+@given(phase_matrix(), st.data())
+def test_reader_accepts_loose_layout(mat, data):
+    exponent = data.draw(admissible_exponent(mat.n))
     header, *rows = matrix_to_csv_text(mat, exponent).splitlines()
     pads = st.sampled_from(["", " ", "  ", "\t"])
     lines = [data.draw(pads) + header]
@@ -121,3 +143,11 @@ def test_reader_rejects_missing_header(mat, exponent):
 def test_reader_rejects_header_without_rows(text):
     with pytest.raises(QcssError):
         matrix_from_csv_text(text)
+
+
+def test_reader_takes_the_last_header():
+    mat = PhaseMatrix(15, 1, 4, np.arange(225).reshape(15, 15) % 15)
+    header, *rows = matrix_to_csv_text(mat, 3).splitlines()
+    text = "\n".join(["# N=15, k=2, m=9, e=7", *rows[:5], header, *rows[5:]])
+    back, e = matrix_from_csv_text(text)
+    assert back == mat and e == 3

@@ -6,7 +6,6 @@ import pytest
 from qcss import (
     FamilyMismatchError,
     LengthMismatchError,
-    PhaseMatrix,
     SequenceFamily,
     ShiftOutOfRangeError,
     aperiodic_xcorr,
@@ -183,13 +182,10 @@ class TestSetXcorr:
 
 
 def corrupt_one_entry(family, m, s, t):
-    n = family.n
-    members = list(family.members)
-    mat = members[m]
-    phases = mat.phases.copy()
-    phases[s, t] = (phases[s, t] + 1) % n
-    members[m] = PhaseMatrix(n, mat.k, mat.m, phases)
-    return SequenceFamily(n, family.kind, tuple(members), k=family.k)
+    """A copy of family with entry (s, t) of member m raised by 1 (mod N)."""
+    phases = family.phases.copy()
+    phases[m, s, t] = (phases[m, s, t] + 1) % family.n
+    return SequenceFamily(family.n, family.kind, phases, k=family.k)
 
 
 class TestVerifyCcc:

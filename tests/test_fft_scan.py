@@ -33,13 +33,18 @@ from test_correlation import corrupt_one_entry
 FAMILIES = [(5, 40, 20261018, (35, 3)), (3, 33, 20261019, (1, 32))]
 
 
-def random_members(n, k, seed, plant=None, family_index=1):
+def random_phases(n, k, seed, plant=None):
     rng = np.random.default_rng(seed)
     phases = rng.integers(0, n, size=(k, n, n))
     if plant is not None:
         y, x = plant
         phases[x, :, 1:] = (phases[y, :, :-1] + 1) % n
-    return [PhaseMatrix(n, family_index, m, phases[m]) for m in range(k)]
+    return phases
+
+
+def random_members(n, k, seed, plant=None):
+    phases = random_phases(n, k, seed, plant)
+    return [PhaseMatrix(n, 1, m, phases[m]) for m in range(k)]
 
 
 def direct_values(rows, cols, taus):
@@ -123,8 +128,8 @@ def test_mirrored_maximum_reports_its_own_value():
 
 def test_verify_interset_matches_direct_sums():
     n = 33  # K = N = 33: one full tile and one partial
-    f1 = SequenceFamily(n, "ccc", tuple(random_members(n, n, 7, family_index=1)), k=1)
-    f2 = SequenceFamily(n, "ccc", tuple(random_members(n, n, 8, family_index=2)), k=2)
+    f1 = SequenceFamily(n, "ccc", random_phases(n, n, 7), k=1)
+    f2 = SequenceFamily(n, "ccc", random_phases(n, n, 8), k=2)
     taus = range(-(n - 1), n)
     mags = np.abs(direct_values(f1.members, f2.members, taus))
     report = verify_interset(f1, f2)
@@ -159,8 +164,8 @@ def test_memory_estimate(monkeypatch):
 def test_scanners_refuse_before_allocating(monkeypatch):
     monkeypatch.setattr(correlation, "_physical_memory", lambda: 4096)
     members = random_members(15, 15, 3)
-    family = SequenceFamily(15, "ccc", tuple(members), k=1)
-    other = SequenceFamily(15, "ccc", tuple(random_members(15, 15, 4, family_index=2)), k=2)
+    family = SequenceFamily(15, "ccc", random_phases(15, 15, 3), k=1)
+    other = SequenceFamily(15, "ccc", random_phases(15, 15, 4), k=2)
     for scan in (lambda: delta_max_scan(members), lambda: verify_ccc(members), lambda: verify_interset(family, other)):
         with pytest.raises(QcssError, match="physical memory"):
             scan()
