@@ -13,6 +13,7 @@ exits 2 before it starts.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -84,6 +85,7 @@ def _phase_cells(cells: list) -> np.ndarray:
         where = zip(*(axis.tolist() for axis in np.nonzero((phases == 0) | (phases == 1))))
         if any(type(cells[u][r][c]) is bool for u, r, c in where):
             raise _ArgError("member phases: a non-integer cell (true or false)")
+    phases.setflags(write=False)  # handed over to the members without a copy
     return phases
 
 
@@ -131,6 +133,7 @@ def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
     n, k, m, e = (int(g) for g in headers[-1].groups())
     power_perm(_check_family_indices(n, k).largest_prime, e)  # refuses unless gcd(p - 1, e) = 1
     _check_in_range(n, m=m)
+    phases.setflags(write=False)  # handed over without a copy
     return PhaseMatrix(n, k, m, phases), e
 
 
@@ -159,14 +162,19 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
     QcssError, and so does one the construction cannot have: an even or
     too small N, an inadmissible exponent, a "set" bundle that is not one
     set with 1 <= k < p0 and 0 <= m < N, or a "ccc" or "qcss" bundle whose
-    members are not that family's (k, m) in order."""
+    members are not that family's (k, m) in order. The fields p0,
+    set_size, flock_size, length and each member's u must be those of the
+    family."""
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != SCHEMA:
         raise _ArgError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
     try:
         n, exponent, kind = _integer("n", obj["n"]), _integer("exponent", obj["exponent"]), obj["kind"]
-        power_perm(factorize(n).largest_prime, exponent)  # refuses unless gcd(p - 1, e) = 1
+        f = factorize(n)
+        power_perm(f.largest_prime, exponent)  # refuses unless gcd(p - 1, e) = 1
+        sizes = {name: _integer(name, obj[name]) for name in ("p0", "set_size", "flock_size", "length")}
         labels = [(_integer("k", rec["k"]), _integer("m", rec["m"])) for rec in obj["members"]]
+        positions = [_integer("u", rec["u"]) for rec in obj["members"]]
         phases = _phase_cells([rec["phases"] for rec in obj["members"]])
     except KeyError as exc:
         raise _ArgError(f"family bundle lacks the key {exc}") from None
@@ -176,13 +184,22 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
         [(k, m)] = labels
         _check_family_indices(n, k)
         _check_in_range(n, m=m)
-        return [PhaseMatrix(n, k, m, phases[0])], exponent, kind
-    if kind not in ("ccc", "qcss"):
+        members = [PhaseMatrix(n, k, m, phases[0])]
+    elif kind in ("ccc", "qcss"):
+        family = SequenceFamily(n, kind, phases, k=labels[0][0] if kind == "ccc" and labels else None)
+        if labels != [(mat.k, mat.m) for mat in family]:
+            raise _ArgError(f"members are not the (k, m) of a {kind} family in order")
+        members = list(family.members)
+    else:
         raise _ArgError(f"a {kind!r} bundle of {len(labels)} sets: expected one set, or a ccc or qcss family")
-    family = SequenceFamily(n, kind, phases, k=labels[0][0] if kind == "ccc" and labels else None)
-    if labels != [(mat.k, mat.m) for mat in family]:
-        raise _ArgError(f"members are not the (k, m) of a {kind} family in order")
-    return list(family.members), exponent, kind
+    expected = {"p0": f.least_prime, "set_size": len(members), "flock_size": n, "length": n}
+    for name, want in expected.items():
+        if sizes[name] != want:
+            raise _ArgError(f"family bundle field {name!r} is {sizes[name]}, expected {want}")
+    for u, at in enumerate(positions):
+        if at != u:
+            raise _ArgError(f"member {u}: field 'u' is {at}, expected {u}")
+    return members, exponent, kind
 
 
 def _read(path: str | Path, decode):
@@ -218,6 +235,7 @@ def _corrupt_member(family: SequenceFamily, k: int, m: int, s: int, t: int) -> S
         if (mat.k, mat.m) == (k, m):
             phases = family.phases.copy()
             phases[u, s, t] = (phases[u, s, t] + 1) % family.n
+            phases.setflags(write=False)  # handed over without a second copy
             return SequenceFamily(family.n, family.kind, phases, k=family.k)
     return family
 
@@ -352,29 +370,30 @@ def _cmd_verify(args) -> int:
 
     elif args.scope == "interset":
         payload["pairs"] = []
-        for k1 in range(1, p0):
-            for k2 in range(k1 + 1, p0):
-                if corrupt:
-                    report = correlation.verify_interset(ccc_family(k1), ccc_family(k2), tol=args.tol)
-                else:
-                    report = correlation.verify_interset_exact(k1, k2, perm, tol=args.tol)
-                pair_ok = report.ok and report.dichotomy_ok
-                ok = ok and pair_ok
-                status = "ok" if pair_ok else "FAILED"
-                lines.append(
-                    f"interset k1={k1} k2={k2}: {status} max={report.max_magnitude:.6f} "
-                    f"dichotomy_deviation={report.dichotomy_deviation:.6g} engine={report.engine}"
-                )
-                payload["pairs"].append(
-                    {
-                        "k1": k1,
-                        "k2": k2,
-                        "ok": pair_ok,
-                        "max_magnitude": report.max_magnitude,
-                        "dichotomy_deviation": report.dichotomy_deviation,
-                        "argmax": list(report.argmax),
-                    }
-                )
+        if corrupt:
+            pairs = itertools.combinations(range(1, p0), 2)
+            reports = (correlation.verify_interset(ccc_family(k1), ccc_family(k2), tol=args.tol) for k1, k2 in pairs)
+        else:
+            reports = correlation.verify_intersets_exact(f, perm, tol=args.tol)
+        for report in reports:
+            k1, k2 = report.k1, report.k2
+            pair_ok = report.ok and report.dichotomy_ok
+            ok = ok and pair_ok
+            status = "ok" if pair_ok else "FAILED"
+            lines.append(
+                f"interset k1={k1} k2={k2}: {status} max={report.max_magnitude:.6f} "
+                f"dichotomy_deviation={report.dichotomy_deviation:.6g} engine={report.engine}"
+            )
+            payload["pairs"].append(
+                {
+                    "k1": k1,
+                    "k2": k2,
+                    "ok": pair_ok,
+                    "max_magnitude": report.max_magnitude,
+                    "dichotomy_deviation": report.dichotomy_deviation,
+                    "argmax": list(report.argmax),
+                }
+            )
         payload["ok"] = ok
 
     else:  # qcss
@@ -486,7 +505,10 @@ def _cmd_profile(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qcss argument parser, built once per process: parse_args keeps
+    no state in it, so in-process callers of main share one."""
     parser = argparse.ArgumentParser(
         prog="qcss",
         description="Build, verify and measure complementary code families over Z_N (odd N).",

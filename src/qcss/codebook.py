@@ -18,14 +18,22 @@ from typing import Iterator, Literal, Sequence
 import numpy as np
 
 from .errors import BadFamilyIndexError, OutOfRangeError, ShapeMismatchError
-from .modarith import Factorization, Permutation, factorize
+from .modarith import Factorization, Permutation, _check_modulus, factorize
 
 FamilyKind = Literal["ccc", "qcss"]
 
 
 def _checked_phases(phases, shape: tuple[int, ...], n: int) -> np.ndarray:
-    """phases as read-only C-contiguous int64 of the given shape, entries in [0, n)."""
-    phases = np.ascontiguousarray(phases, dtype=np.int64)
+    """phases as read-only C-contiguous int64 of the given shape, entries in [0, n).
+
+    A writeable array is copied, so its owner may go on writing to it. A
+    read-only one is taken as it is: that is how _broadcast and the loaders
+    hand over an array nothing else writes to, without a second copy.
+    """
+    array = np.asarray(phases)
+    if array is phases and array.flags.writeable:
+        array = array.astype(np.int64, order="C")
+    phases = np.ascontiguousarray(array, dtype=np.int64)
     if phases.shape != shape:
         raise ShapeMismatchError(f"phases must be {'x'.join(map(str, shape))}, got {phases.shape}")
     if phases.size and (phases.min() < 0 or phases.max() >= n):
@@ -51,7 +59,8 @@ def _check_in_range(n: int, **values: int) -> None:
 
 @dataclass(eq=False)
 class PhaseMatrix:
-    """One complementary set: N x N integer phases mod N."""
+    """One complementary set: N x N integer phases mod N, read-only. A
+    writeable array passed in is copied; the caller's stays writeable."""
 
     n: int
     k: int
@@ -87,6 +96,7 @@ class SequenceFamily:
     kind "qcss": all N*(p0-1) sets; member u is (u // N + 1, u % N), so
                  u = (k-1)*N + m.
     Members are PhaseMatrix views of phases[u], labelled by their position.
+    A writeable array passed in is copied; the caller's stays writeable.
     """
 
     n: int
@@ -141,7 +151,9 @@ def _broadcast(perm: Permutation, ks: Sequence[int], ms: Sequence[int]) -> np.nd
     s = np.arange(n, dtype=np.int64)[:, None]
     t = np.arange(n, dtype=np.int64)
     phases = k * s * pi + m * t
-    return np.remainder(phases, n, out=phases).reshape(-1, n, n)
+    phases = np.remainder(phases, n, out=phases).reshape(-1, n, n)
+    phases.setflags(write=False)  # handed over to a member or family without a copy
+    return phases
 
 
 def phase(k: int, m: int, s: int, t: int, perm: Permutation) -> int:
@@ -171,8 +183,5 @@ def build_qcss(f: Factorization, perm: Permutation) -> SequenceFamily:
 
     Member u = (k-1)*N + m; one shared permutation across every family.
     """
-    if perm.modulus != f.n:
-        raise ShapeMismatchError(
-            f"permutation modulus {perm.modulus} does not match n = {f.n}"
-        )
+    _check_modulus(f, perm)
     return SequenceFamily(f.n, "qcss", _broadcast(perm, range(1, f.least_prime), range(f.n)))

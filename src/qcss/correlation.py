@@ -6,9 +6,10 @@ path is checked against the direct one in the test suite; it never
 replaces it.
 
 Families built from a permutation pi also have an exact engine
-(verify_ccc_exact, verify_interset_exact, delta_max_exact): summing over
-the flock index turns every flock-summed value into an integer identity,
-so it reads results off a partner map instead of scanning spectra. The
+(verify_ccc_exact, verify_interset_exact, verify_intersets_exact,
+delta_max_exact): summing over the flock index turns every flock-summed
+value into an integer identity, so it reads results off shift counts, one
+per ratio class of family pairs, instead of scanning spectra. The
 FFT scanners serve arbitrary phase matrices, and the tests hold the two
 engines equal on constructed families.
 
@@ -36,10 +37,9 @@ from .errors import (
     FamilyMismatchError,
     LengthMismatchError,
     QcssError,
-    ShapeMismatchError,
     ShiftOutOfRangeError,
 )
-from .modarith import Factorization, Permutation, partner_map
+from .modarith import RATIO_CHUNK, Factorization, Permutation, _check_modulus, shift_extremes
 
 _ROOT_TABLES: dict[int, np.ndarray] = {}
 
@@ -415,12 +415,42 @@ def delta_max_scan(family, tol: float | None = None, histogram_bins: int = 0) ->
 # property; it is counted, not assumed away, and the reports show it.
 
 
-def _shift_counts(n: int, partners: np.ndarray) -> np.ndarray:
-    """|S_tau| for tau = -(N-1)..N-1, one row per row of partners: (R, 2N-1)."""
-    rows = partners.reshape(-1, n)
-    span = 2 * n - 1
-    index = rows - np.arange(n) + (n - 1) + span * np.arange(len(rows))[:, None]
-    return np.bincount(index.ravel(), minlength=span * len(rows)).reshape(len(rows), span)
+# Family pairs per block of the exact engine's class matrix: bounds its
+# memory at large prime N, where there are (N-1)^2 ordered pairs.
+_PAIR_BLOCK = 2**20
+
+
+def _pair_blocks(n: int, families: int):
+    """The class c = k1 * k2^-1 mod N of every ordered family pair, in
+    blocks of whole rows of about _PAIR_BLOCK pairs: (first row, block), with
+    block[i, j] the class of (k1, k2) = (first row + i + 1, j + 1). The
+    diagonal, k1 = k2, is the class 1."""
+    ks = np.arange(1, families + 1, dtype=np.int64)
+    inverses = np.array([pow(k, -1, n) for k in range(1, families + 1)], dtype=np.int64)
+    step = max(1, _PAIR_BLOCK // families)
+    for lo in range(0, families, step):
+        yield lo, np.multiply.outer(ks[lo : lo + step], inverses) % n
+
+
+def _pair_table(n: int, families: int, perm: Permutation) -> np.ndarray:
+    """(N, 4) int64: row c holds shift_extremes of c for every class c of
+    a pair of distinct families, and -1 in every other row (class 1
+    included). Each class pair {c, c^-1} is counted once, in chunks of
+    RATIO_CHUNK."""
+    present = np.zeros(n, dtype=bool)
+    for _, block in _pair_blocks(n, families):
+        present[block] = True
+    present[1] = False  # k1 = k2
+    ratios = np.flatnonzero(present)
+    inverses = np.array([pow(c, -1, n) for c in ratios.tolist()], dtype=np.int64)
+    reps, at = np.unique(np.minimum(ratios, inverses), return_index=True)
+    mates = np.maximum(ratios, inverses)[at]
+    table = np.full((n, 4), -1, dtype=np.int64)
+    for lo in range(0, len(reps), RATIO_CHUNK):
+        direct, mirrored = shift_extremes(perm, reps[lo : lo + RATIO_CHUNK])
+        table[mates[lo : lo + RATIO_CHUNK]] = mirrored
+        table[reps[lo : lo + RATIO_CHUNK]] = direct
+    return table
 
 
 def verify_ccc_exact(k: int, perm: Permutation, tol: float | None = None) -> CccReport:
@@ -441,6 +471,16 @@ def verify_ccc_exact(k: int, perm: Permutation, tol: float | None = None) -> Ccc
     return CccReport(ok, n, k, tol, 0.0, (0, 0, 0), 0.0, 0.0, worst, engine="exact")
 
 
+def _interset_fields(n: int, extremes, tol: float) -> tuple:
+    """(ok, max_magnitude, argmax, dichotomy_ok, dichotomy_deviation) of
+    the exact IntersetReport of a class, from its shift_extremes: the first
+    maximum over tau <= 0 wins a tie."""
+    pos_peak, pos_first, neg_peak, neg_first = extremes
+    peak, first = (neg_peak, neg_first) if neg_peak >= pos_peak else (pos_peak, pos_first)
+    dichotomy = float(n * (peak - 1)) if peak >= 2 else 0.0
+    return n * peak <= n + tol, float(n * peak), (0, 0, first), dichotomy <= tol, dichotomy
+
+
 def verify_interset_exact(
     k1: int, k2: int, perm: Permutation, tol: float | None = None
 ) -> IntersetReport:
@@ -457,24 +497,32 @@ def verify_interset_exact(
     _check_family_indices(n, k1, k2)
     if k1 == k2:
         raise FamilyMismatchError(f"families must have distinct indices, both k={k1}")
-    if tol is None:
-        tol = 1e-6 * n
-    counts = _shift_counts(n, partner_map(perm, k1 * pow(k2, -1, n) % n))[0]
-    first = int(np.argmax(counts))
-    peak = int(counts[first])
-    dichotomy = float(n * (peak - 1)) if peak >= 2 else 0.0
-    return IntersetReport(
-        ok=n * peak <= n + tol,
-        n=n,
-        k1=k1,
-        k2=k2,
-        tol=tol,
-        max_magnitude=float(n * peak),
-        argmax=(0, 0, first - (n - 1)),
-        dichotomy_ok=dichotomy <= tol,
-        dichotomy_deviation=dichotomy,
-        engine="exact",
-    )
+    tol = 1e-6 * n if tol is None else tol
+    extremes = shift_extremes(perm, [k1 * pow(k2, -1, n) % n])[0, 0].tolist()
+    ok, magnitude, argmax, dichotomy_ok, dichotomy = _interset_fields(n, extremes, tol)
+    return IntersetReport(ok, n, k1, k2, tol, magnitude, argmax, dichotomy_ok, dichotomy, engine="exact")
+
+
+def verify_intersets_exact(
+    f: Factorization, perm: Permutation, tol: float | None = None
+) -> list[IntersetReport]:
+    """verify_interset_exact for every pair of families k1 < k2, in
+    ascending (k1, k2) order, read off one table of ratio classes."""
+    _check_modulus(f, perm)
+    n, families = f.n, f.least_prime - 1
+    tol = 1e-6 * n if tol is None else tol
+    table = _pair_table(n, families, perm)
+    classes = np.flatnonzero(table[:, 0] >= 0)
+    fields = dict(zip(classes.tolist(), (_interset_fields(n, row, tol) for row in table[classes].tolist())))
+    reports = []
+    for lo, block in _pair_blocks(n, families):
+        rows, cols = np.nonzero(np.arange(families) > np.arange(lo, lo + len(block))[:, None])
+        pairs = zip((rows + lo + 1).tolist(), (cols + 1).tolist(), map(fields.get, block[rows, cols].tolist()))
+        reports += [
+            IntersetReport(ok, n, k1, k2, tol, magnitude, argmax, dichotomy_ok, dichotomy, engine="exact")
+            for k1, k2, (ok, magnitude, argmax, dichotomy_ok, dichotomy) in pairs
+        ]
+    return reports
 
 
 def delta_max_exact(f: Factorization, perm: Permutation, tol: float | None = None) -> CorrelationReport:
@@ -483,24 +531,20 @@ def delta_max_exact(f: Factorization, perm: Permutation, tol: float | None = Non
     Same domain and report as delta_max_scan: ordered member pairs
     (u1, u2), u = (k-1)*N + m, over shifts 0 <= tau <= N-1, without the
     in-phase terms (u, u, 0). A same-family block is 0 there; a
-    cross-family block peaks at N * max |S_tau|, first at m1 = m2 = 0.
-    The argmax is the first maximum in (u1, u2, tau) order. No histogram.
+    cross-family block peaks at N * max |S_tau| over tau >= 0, first at
+    m1 = m2 = 0. The argmax is the first maximum in (u1, u2, tau) order:
+    the first family pair whose class reaches the peak, at the first shift
+    where it does. No histogram.
     """
-    if perm.modulus != f.n:
-        raise ShapeMismatchError(
-            f"permutation modulus {perm.modulus} does not match n = {f.n}"
-        )
+    _check_modulus(f, perm)
     n, families = f.n, f.least_prime - 1
-    inverses = np.array([pow(k, -1, n) for k in range(1, families + 1)])
-    # The same-family blocks' first in-domain value, 0 at (0, 0, 1).
-    delta_max, argmax = 0.0, (0, 0, 1)
-    # Blocks go in ascending (k1, k2) order, so the first strict
-    # improvement is the first maximum.
-    for i in range(families):
-        others = [j for j in range(families) if j != i]
-        partners = partner_map(perm, (i + 1) * inverses[others] % n)  # c = k1 / k2
-        counts = _shift_counts(n, partners)[:, n - 1:]  # tau = 0..N-1
-        for j, peak, tau in zip(others, counts.max(axis=1).tolist(), counts.argmax(axis=1).tolist()):
-            if n * peak > delta_max:
-                delta_max, argmax = float(n * peak), (i * n, j * n, tau)
-    return CorrelationReport(delta_max, argmax, n, families * n, tol, engine="exact")
+    table = _pair_table(n, families, perm)  # row 1 (k1 = k2) is -1
+    # Every class peaks at >= 1: the t with perm(t) = 0 is its own partner.
+    peak = int(table[:, 0].max())
+    for lo, block in _pair_blocks(n, families):
+        hits = np.flatnonzero(table[block, 0] == peak)
+        if hits.size:
+            i, j = divmod(int(hits[0]), families)
+            argmax = ((lo + i) * n, j * n, int(table[block[i, j], 1]))
+            break
+    return CorrelationReport(float(n * peak), argmax, n, families * n, tol, engine="exact")

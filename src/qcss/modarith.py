@@ -1,8 +1,9 @@
 """Exact integer arithmetic over Z_N for odd N.
 
 Factorization, mixed-radix digit maps, power permutations on prime fields,
-the composite digit permutation built from them, and the partner map that
-the unique-solution scan and the exact correlation engine share.
+the composite digit permutation built from them, and the partner map and
+its shift counts by ratio (shift_extremes) that the unique-solution scan
+and the exact correlation engine share.
 Everything here is pure-integer and deterministic; no value ever touches
 floating point.
 
@@ -29,6 +30,10 @@ from .errors import (
     OutOfRangeError,
     ShapeMismatchError,
 )
+
+# Ratios per shift_extremes call: bounds one chunk's (R, 2N-1) count table,
+# 17.7 MB at N = 8633.
+RATIO_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,11 @@ def pi_perm(f: Factorization, e: int | None = None) -> Permutation:
     return Permutation(f.n, tuple((i - last + xi[last]).tolist()))
 
 
+def _check_modulus(f: Factorization, perm: Permutation) -> None:
+    if perm.modulus != f.n:
+        raise ShapeMismatchError(f"permutation modulus {perm.modulus} does not match n = {f.n}")
+
+
 def partner_map(perm: Permutation, c) -> np.ndarray:
     """The partner t' = perm^-1(c * perm(t) mod N) of every t in Z_N.
 
@@ -224,7 +234,45 @@ def partner_map(perm: Permutation, c) -> np.ndarray:
     table = np.asarray(perm.table, dtype=np.int64)
     inverse = np.empty_like(table)
     inverse[table] = np.arange(n, dtype=np.int64)
-    return inverse[np.multiply.outer(np.asarray(c, dtype=np.int64), table) % n]
+    images = np.multiply.outer(np.asarray(c, dtype=np.int64), table)
+    return inverse[np.remainder(images, n, out=images)]
+
+
+def _shift_counts(perm: Permutation, ratios) -> np.ndarray:
+    """|S_tau| = #{t : t' - t = tau}, t' the partner of t under each ratio,
+    for tau = -(N-1)..N-1: (R, 2N-1), tau at column tau + N - 1."""
+    n, span = perm.modulus, 2 * perm.modulus - 1
+    index = partner_map(perm, ratios)
+    index += (n - 1) - np.arange(n) + span * np.arange(len(index))[:, None]
+    return np.bincount(index.ravel(), minlength=span * len(index)).reshape(-1, span)
+
+
+def shift_extremes(perm: Permutation, ratios) -> np.ndarray:
+    """The shift counts |S_tau| of a chunk of unit ratios c, reduced: (2, R, 4).
+
+    Row [0, i] is (max |S_tau| over tau >= 0, the first such tau, max over
+    tau <= 0, the first such tau) for c = ratios[i], "first" in ascending
+    tau. Row [1, i] is the same for c^-1, read off the mirror: t' is the
+    c-partner of t exactly when t is the c^-1-partner of t', so
+    |S_tau(c^-1)| = |S_-tau(c)| and the pair {c, c^-1} is counted once.
+    A chunk holds at most RATIO_CHUNK ratios, which bounds its (R, 2N-1)
+    count table.
+    """
+    if len(ratios) > RATIO_CHUNK:
+        raise ShapeMismatchError(f"{len(ratios)} ratios in one chunk, at most {RATIO_CHUNK}")
+    n = perm.modulus
+    counts = _shift_counts(perm, ratios)
+    # tau >= 0 and tau <= 0 for c, then for c^-1 (counts reversed); each
+    # view runs in ascending tau, so its argmax is the first maximum.
+    views = (counts[:, n - 1 :], counts[:, :n], counts[:, n - 1 :: -1], counts[:, : n - 2 : -1])
+    first = [view.argmax(axis=1) for view in views]
+    peak = [np.take_along_axis(view, at[:, None], axis=1)[:, 0] for view, at in zip(views[:2], first)]
+    first[1] -= n - 1
+    first[3] -= n - 1
+    return np.stack(
+        [np.stack([peak[0], first[0], peak[1], first[1]], axis=-1),
+         np.stack([peak[1], first[2], peak[0], first[3]], axis=-1)]
+    )
 
 
 def verify_unique_solution(f: Factorization, perm: Permutation) -> UniqueSolutionReport:
@@ -236,18 +284,20 @@ def verify_unique_solution(f: Factorization, perm: Permutation) -> UniqueSolutio
     (tau, c, count) triple, ordered by tau, then c.
 
     x solves the equation for exactly one tau, namely (x' - x) mod N with
-    x' the partner of x, so the counts for one c are a single bincount.
+    x' the partner of x, so the cyclic count at tau is the shift count
+    |S_tau| plus |S_(tau-N)|, for a chunk of scalars at a time.
     """
-    if perm.modulus != f.n:
-        raise ShapeMismatchError(
-            f"permutation modulus {perm.modulus} does not match n = {f.n}"
-        )
+    _check_modulus(f, perm)
     n, p0 = f.n, f.least_prime
-    cs = np.arange(2, p0)
-    shifts = (partner_map(perm, cs) - np.arange(n)) % n
-    counts = np.stack([np.bincount(row, minlength=n) for row in shifts], axis=1)  # (tau, c)
-    taus, cols = np.nonzero(counts != 1)
-    violations = tuple(
-        (int(tau), int(cs[j]), int(counts[tau, j])) for tau, j in zip(taus, cols)
-    )
+    found = []
+    for lo in range(2, p0, RATIO_CHUNK):
+        cs = np.arange(lo, min(lo + RATIO_CHUNK, p0))
+        counts = _shift_counts(perm, cs)
+        cyclic = counts[:, n - 1 :]  # tau = 0..N-1
+        cyclic[:, 1:] += counts[:, : n - 1]  # tau - N = -(N-1)..-1
+        rows, taus = np.nonzero(cyclic != 1)
+        found.append((taus, cs[rows], cyclic[rows, taus]))
+    taus, cs, counts = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((cs, taus))
+    violations = tuple(zip(taus[order].tolist(), cs[order].tolist(), counts[order].tolist()))
     return UniqueSolutionReport(not violations, violations)

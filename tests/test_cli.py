@@ -371,6 +371,28 @@ class TestLoaders:
         with pytest.raises(QcssError, match="'m' must be an integer"):
             family_from_json_obj(obj)
 
+    @pytest.mark.parametrize("kind", ["set", "ccc"])
+    @pytest.mark.parametrize("field,bad", [("p0", 7), ("set_size", 99), ("flock_size", 3), ("length", 8)])
+    def test_size_field_mismatch(self, kind, field, bad, perm15):
+        obj = self.bundle(perm15, kind)
+        obj[field] = bad
+        with pytest.raises(QcssError, match=f"'{field}' is {bad}, expected"):
+            family_from_json_obj(obj)
+
+    @pytest.mark.parametrize("kind", ["set", "ccc"])
+    def test_member_position_mismatch(self, kind, perm15):
+        obj = self.bundle(perm15, kind)
+        obj["members"][-1]["u"] = 42
+        with pytest.raises(QcssError, match="'u' is 42, expected"):
+            family_from_json_obj(obj)
+
+    @pytest.mark.parametrize("field", ["p0", "set_size", "flock_size", "length", "u"])
+    def test_non_integer_size_field(self, field, perm15):
+        obj = self.bundle(perm15)
+        (obj if field in obj else obj["members"][0])[field] = 15.0
+        with pytest.raises(QcssError, match=f"'{field}' must be an integer"):
+            family_from_json_obj(obj)
+
     def test_wrong_shape(self, perm15):
         obj = self.bundle(perm15)
         obj["members"][0]["phases"].pop()
@@ -493,6 +515,39 @@ class TestProfile:
         assert code == EXIT_OK
         mags = read_profile(out)
         assert all(m <= 1e-4 for m in mags.values())
+
+
+class TestParserBuiltOnce:
+    """main shares one parser across calls; no call leaves state in it."""
+
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_corrupt_then_clean(self, capsys):
+        for scope in ("ccc", "interset", "qcss"):
+            clean = ["verify", "--n", "15", "--scope", scope, "--json"]
+            first = run_cli(*clean, capsys=capsys)
+            code, stdout, _ = run_cli(*clean, "--corrupt", "1,2,3,4", capsys=capsys)
+            assert (code, json.loads(stdout)["engine"]) == (EXIT_VERIFY_FAILED, "fft")
+            again = run_cli(*clean, capsys=capsys)
+            assert again == first
+            assert (again[0], json.loads(again[1])["engine"]) == (EXIT_OK, "exact")
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "15"])  # --scope missing
+        assert exc.value.code == EXIT_BAD_ARGS
+        assert "--scope" in capsys.readouterr().err
+        code, stdout, _ = run_cli("verify", "--n", "15", "--scope", "qcss", capsys=capsys)
+        assert code == EXIT_OK and "delta_max=15.000000 ok" in stdout
+
+    def test_generate_k_then_without(self, tmp_path, capsys):
+        for name, extra, kind, size in [("a", ["--k", "2"], "ccc", 15), ("b", [], "qcss", 30)]:
+            out = tmp_path / f"{name}.json"
+            code, stdout, _ = run_cli("generate", "--n", "15", *extra, "--format", "json", "--out", str(out), capsys=capsys)
+            assert code == EXIT_OK and stdout.startswith(f"K={size} ")
+            members, _, loaded_kind = load_family_json(out)
+            assert (loaded_kind, len(members)) == (kind, size)
 
 
 class TestProcessInvocation:

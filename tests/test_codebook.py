@@ -169,6 +169,30 @@ def construction(draw):
     return f, pi_perm(f, e)
 
 
+class TestCallerArrays:
+    """The constructors copy an array the caller can still write to."""
+
+    def test_matrix_leaves_the_callers_array(self, perm15):
+        a = build_set(1, 2, perm15).phases.copy()
+        mat = PhaseMatrix(15, 1, 2, a)
+        assert a.flags.writeable and not mat.phases.flags.writeable
+        a[0, 0] = 7
+        assert mat == build_set(1, 2, perm15)
+
+    def test_family_leaves_the_callers_array(self, perm15):
+        a = build_ccc(1, perm15).phases.copy()
+        family = SequenceFamily(15, "ccc", a, k=1)
+        assert a.flags.writeable and not family.phases.flags.writeable
+        a[3, 0, 0] = 7
+        assert family == build_ccc(1, perm15)
+        assert family[3] == build_set(1, 3, perm15)
+
+    def test_read_only_array_is_shared(self, perm15):
+        source = build_ccc(1, perm15)
+        assert SequenceFamily(15, "ccc", source.phases, k=1).phases is source.phases
+        assert np.shares_memory(PhaseMatrix(15, 1, 4, source.phases[4]).phases, source.phases)
+
+
 class TestFamilyArray:
     @settings(max_examples=40, deadline=None)
     @given(construction(), st.data())

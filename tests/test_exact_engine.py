@@ -1,10 +1,13 @@
 """The exact engine against the FFT scanners and the direct per-shift sum."""
 
 import random
+import time
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcss import (
     BadFamilyIndexError,
@@ -23,7 +26,11 @@ from qcss import (
     verify_ccc_exact,
     verify_interset,
     verify_interset_exact,
+    verify_intersets_exact,
 )
+from qcss import correlation
+from qcss.cli import main
+from qcss.correlation import CorrelationReport, IntersetReport
 from qcss.modarith import partner_map
 
 # Pools up to this size also run the FFT delta_max scan; larger prime pools
@@ -165,3 +172,135 @@ def test_exact_inputs_validated(perm15):
         verify_interset_exact(2, 2, perm15)
     with pytest.raises(ShapeMismatchError):
         delta_max_exact(factorize(35), perm15)
+
+
+# ---------------------------------------------------------------------------
+# The ratio-class engine against the pair loops it replaced
+
+
+def reference_shift_counts(n, partners):
+    """|S_tau| for tau = -(N-1)..N-1, one row per row of partners: (R, 2N-1)."""
+    rows = partners.reshape(-1, n)
+    span = 2 * n - 1
+    index = rows - np.arange(n) + (n - 1) + span * np.arange(len(rows))[:, None]
+    return np.bincount(index.ravel(), minlength=span * len(rows)).reshape(len(rows), span)
+
+
+def reference_pair_loop(f, perm, tol=None):
+    """The pair loops the ratio classes replaced, one partner map per
+    ordered pair of families: delta_max_exact's report, and the
+    verify_interset_exact report of every pair k1 < k2, off the same counts."""
+    n, families = f.n, f.least_prime - 1
+    inverses = np.array([pow(k, -1, n) for k in range(1, families + 1)])
+    delta_max, argmax = 0.0, (0, 0, 1)
+    intersets = []
+    for i in range(families):
+        others = [j for j in range(families) if j != i]
+        partners = partner_map(perm, (i + 1) * inverses[others] % n)  # c = k1 / k2
+        full = reference_shift_counts(n, partners)
+        counts = full[:, n - 1:]  # tau = 0..N-1
+        for j, peak, tau in zip(others, counts.max(axis=1).tolist(), counts.argmax(axis=1).tolist()):
+            if n * peak > delta_max:
+                delta_max, argmax = float(n * peak), (i * n, j * n, tau)
+        firsts, peaks = full.argmax(axis=1).tolist(), full.max(axis=1).tolist()
+        intersets += [
+            interset_report(n, i + 1, j + 1, peak, first - (n - 1), 1e-6 * n)
+            for j, peak, first in zip(others, peaks, firsts)
+            if j > i
+        ]
+    return CorrelationReport(delta_max, argmax, n, families * n, tol, engine="exact"), intersets
+
+
+def reference_interset(k1, k2, perm, tol=None):
+    """The single-pair report off its own partner map and bincount."""
+    n = perm.modulus
+    if tol is None:
+        tol = 1e-6 * n
+    counts = reference_shift_counts(n, partner_map(perm, k1 * pow(k2, -1, n) % n))[0]
+    first = int(np.argmax(counts))
+    return interset_report(n, k1, k2, int(counts[first]), first - (n - 1), tol)
+
+
+def interset_report(n, k1, k2, peak, tau, tol):
+    dichotomy = float(n * (peak - 1)) if peak >= 2 else 0.0
+    return IntersetReport(
+        n * peak <= n + tol, n, k1, k2, tol, float(n * peak), (0, 0, tau), dichotomy <= tol, dichotomy, engine="exact"
+    )
+
+
+@st.composite
+def permutations(draw, n_max=301):
+    """(f, perm, shuffled): pi_perm with an admissible exponent (e = 1, the
+    identity, included), or a seeded random bijection."""
+    n = draw(st.integers(1, (n_max - 1) // 2), label="half") * 2 + 1
+    f = factorize(n)
+    if draw(st.booleans(), label="random"):
+        return f, random_bijection(n, draw(st.integers(0, 2**32 - 1), label="seed")), True
+    p = f.largest_prime
+    return f, pi_perm(f, draw(st.sampled_from([e for e in range(1, p - 1) if gcd(p - 1, e) == 1] or [1]))), False
+
+
+@settings(max_examples=10, deadline=None)
+@given(permutations())
+def test_ratio_classes_equal_the_pair_loops(fpr):
+    f, perm, shuffled = fpr
+    delta_max, intersets = reference_pair_loop(f, perm, tol=0.5)
+    assume(not shuffled or any(r.max_magnitude > f.n for r in intersets))  # some |S_tau| >= 2
+    assert delta_max_exact(f, perm, tol=0.5) == delta_max
+    assert verify_intersets_exact(f, perm) == intersets
+    for k1, k2 in sample_pairs(f.least_prime):
+        assert verify_interset_exact(k1, k2, perm) == reference_interset(k1, k2, perm)
+
+
+@pytest.mark.parametrize("n,seed", [(31, 11), (45, 11)])
+def test_many_chunks(n, seed, monkeypatch):
+    # Chunks of 4 ratio classes and blocks of one family row: many of each,
+    # as at prime N > 257 (chunks) and N > 1025 (blocks). At N = 45 the
+    # first maximum sits in the second row.
+    monkeypatch.setattr(correlation, "RATIO_CHUNK", 4)
+    monkeypatch.setattr(correlation, "_PAIR_BLOCK", 1)
+    f = factorize(n)
+    perm = random_bijection(n, seed)
+    delta_max, intersets = reference_pair_loop(f, perm)
+    assert delta_max_exact(f, perm) == delta_max
+    assert verify_intersets_exact(f, perm) == intersets
+
+
+def test_intersets_validated(perm15):
+    with pytest.raises(ShapeMismatchError):
+        verify_intersets_exact(factorize(35), perm15)
+    reports = verify_intersets_exact(factorize(15), perm15, tol=0.25)
+    assert [(r.k1, r.k2, r.tol) for r in reports] == [(1, 2, 0.25)]
+
+
+# ---------------------------------------------------------------------------
+# Budgets against the cubic cost coming back, wide enough for host noise. On
+# a 2-core host delta_max_exact at N = 1009 takes about 0.04 s (the pair loop
+# took 17.9 s) and verify --n 401 --scope qcss about 0.01 s.
+
+
+def best_time(fn, repeats=3):
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def test_prime_1009_delta_max_budget():
+    f = factorize(1009)
+    perm = pi_perm(f)
+    report, elapsed = best_time(lambda: delta_max_exact(f, perm))
+    assert (report.delta_max, report.argmax) == (1009.0, (0, 1009, 0))
+    assert elapsed < 1.0
+
+
+def test_cli_qcss_401_budget(capsys):
+    def verify():
+        code = main(["verify", "--n", "401", "--scope", "qcss", "--json"])
+        return code, capsys.readouterr().out
+
+    (code, out), elapsed = best_time(verify)
+    assert code == 0 and '"delta_max": 401.0' in out
+    assert elapsed < 1.0

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcss import (
     DigitVector,
@@ -22,7 +24,7 @@ from qcss import (
     verify_unique_solution,
 )
 from qcss.bounds import table_rows
-from qcss.modarith import partner_map
+from qcss.modarith import RATIO_CHUNK, UniqueSolutionReport, partner_map, shift_extremes
 
 ODD_SWEEP = list(range(3, 226, 2))
 
@@ -315,6 +317,69 @@ class TestUniqueSolution:
     def test_modulus_mismatch(self, perm15):
         with pytest.raises(ShapeMismatchError):
             verify_unique_solution(factorize(35), perm15)
+
+
+def reference_unique_solution(f, perm):
+    """The per-scalar loop: one bincount of cyclic shifts per c."""
+    n, p0 = f.n, f.least_prime
+    cs = np.arange(2, p0)
+    shifts = (partner_map(perm, cs) - np.arange(n)) % n
+    counts = np.stack([np.bincount(row, minlength=n) for row in shifts], axis=1)  # (tau, c)
+    taus, cols = np.nonzero(counts != 1)
+    violations = tuple(
+        (int(tau), int(cs[j]), int(counts[tau, j])) for tau, j in zip(taus, cols)
+    )
+    return UniqueSolutionReport(not violations, violations)
+
+
+@st.composite
+def permutations(draw, n_max=301):
+    """(f, perm): pi_perm with an admissible exponent (e = 1, the identity,
+    included), or a seeded random bijection."""
+    n = draw(st.integers(1, (n_max - 1) // 2), label="half") * 2 + 1
+    f = factorize(n)
+    if draw(st.booleans(), label="random"):
+        table = list(range(n))
+        random.Random(draw(st.integers(0, 2**32 - 1), label="seed")).shuffle(table)
+        return f, Permutation(n, tuple(table))
+    p = f.largest_prime
+    return f, pi_perm(f, draw(st.sampled_from([e for e in range(1, p - 1) if math.gcd(p - 1, e) == 1] or [1])))
+
+
+class TestShiftCounts:
+    @settings(max_examples=40, deadline=None)
+    @given(permutations())
+    def test_unique_solution_equals_the_scalar_loop(self, fp):
+        f, perm = fp
+        assert verify_unique_solution(f, perm) == reference_unique_solution(f, perm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(permutations(n_max=151), st.data())
+    def test_extremes_of_a_ratio_and_its_mirror(self, fp, data):
+        f, perm = fp
+        n = f.n
+        units = [c for c in range(1, n) if math.gcd(c, n) == 1]
+        ratios = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=RATIO_CHUNK), label="ratios")
+        t = np.arange(n)
+
+        def brute(c):
+            counts = np.bincount(partner_map(perm, c) - t + n - 1, minlength=2 * n - 1)
+            pos, neg = counts[n - 1:], counts[:n]  # tau = 0..N-1 and -(N-1)..0
+            return [pos.max(), pos.argmax(), neg.max(), neg.argmax() - (n - 1)]
+
+        direct, mirrored = shift_extremes(perm, ratios).tolist()
+        assert direct == [brute(c) for c in ratios]
+        assert mirrored == [brute(pow(c, -1, n)) for c in ratios]
+
+    def test_chunk_size_is_bounded(self, perm35):
+        with pytest.raises(ShapeMismatchError):
+            shift_extremes(perm35, [2] * (RATIO_CHUNK + 1))
+
+    def test_unique_solution_past_one_chunk(self):
+        # p0 - 2 = 255 scalars at N = 257: two chunks of ratios.
+        f = factorize(257)
+        for perm in (pi_perm(f), Permutation(257, tuple(random.Random(5).sample(range(257), 257)))):
+            assert verify_unique_solution(f, perm) == reference_unique_solution(f, perm)
 
 
 class TestPartnerMap:
