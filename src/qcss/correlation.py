@@ -22,12 +22,23 @@ Fixed tiles of 32 member rows bound the memory of one step and fix the
 reduction order; the argmax is the first maximum in ascending (first
 member, second member, shift) order. A family against itself computes
 half the pairs and reads the rest off R(u2, u1, tau) = conj R(u1, u2, -tau).
+
+The numpy stages around the matrix product are split over
+W = min(CPUs this process may run on, 32) workers: the calling thread and
+W - 1 threads started for the stage, none when W = 1. The row spectra are
+split by member, the conjugated row block by frequency, and the inverse
+FFT, the magnitudes and each part's maximum by tile row. The product keeps
+BLAS's own threads and runs with no worker beside it. tally, the argmax
+search and the tile order stay on the calling thread, and every element is
+computed the same way whatever the split, so the results do not depend on
+W.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,11 +228,18 @@ def _physical_memory() -> int:
 
 
 def check_scan_memory(members: int, n: int) -> int:
-    """Bytes an FFT scan over K = members members of modulus n needs: the
-    spectra, L*K*N*16, plus one tile of L*32*K pair products and their
-    magnitudes, 24 bytes each. Raises QcssError, before anything is
+    """Bytes an FFT scan over K = members members of modulus n allocates:
+    the spectra, L*K*N*16; per worker, a gathered member and a line
+    buffer, N*(N+L)*16, and numpy's iteration buffers for two complex
+    operands; one tile's L*32*K pair products, 16 bytes each, and the
+    argmax search's mask over them, 1 byte each; and one buffer that holds
+    the conjugated row block and then the magnitudes,
+    max(L*32*N*16, L*32*K*8). Raises QcssError, before anything is
     allocated, when that exceeds physical memory."""
-    need = _fft_length(n) * members * (16 * n + 24 * _TILE_ROWS)
+    length = _fft_length(n)
+    worker = (n * (n + length) + 2 * np.getbufsize()) * 16
+    tile = max(length * _TILE_ROWS * n * 16, length * _TILE_ROWS * members * 8)
+    need = length * members * n * 16 + _workers() * worker + length * _TILE_ROWS * members * 17 + tile
     if need > (have := _physical_memory()):
         raise QcssError(
             f"FFT scan of {members} members at N={n} needs about {need} bytes "
@@ -230,15 +248,60 @@ def check_scan_memory(members: int, n: int) -> int:
     return need
 
 
+def _workers() -> int:
+    """Workers for the numpy stages of a scan, the calling thread
+    included: one per CPU this process may run on, at most one per tile
+    row."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _TILE_ROWS)
+
+
+def _split(size: int, fn) -> list:
+    """fn(a, b) over [0, size) cut into one near-equal slice [a, b) per
+    worker, the results in slice order once every slice is done. This
+    thread runs the first slice and one thread is started for each other
+    slice, none with one worker; an exception in any slice is raised here."""
+    workers = _workers()
+    cuts = sorted({size * i // workers for i in range(workers + 1)})  # no empty slice
+    results, errors = [None] * (len(cuts) - 1), []
+
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(cuts[i], cuts[i + 1])
+        except BaseException as exc:  # raised again below, on this thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(results))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _spectra(phases: np.ndarray, length: int) -> np.ndarray:
     """Row spectra of a (K, N, N) phase array, frequency-major: C-contiguous
     complex (L, K, N), spectra[f, u, s] = DFT of row s of member u at
-    frequency f, built one tile of members at a time straight into place."""
-    roots = roots_of_unity(phases.shape[-1])
+    frequency f. The members are split over the workers; each transforms
+    one member at a time into a private (N, L) line buffer, which stays in
+    cache while it is copied into place a row of N values at a time."""
+    n = phases.shape[-1]
+    roots = roots_of_unity(n)
     out = np.empty((length, *phases.shape[:2]), dtype=complex)
-    for lo in range(0, len(phases), _TILE_ROWS):
-        chunk = roots[phases[lo : lo + _TILE_ROWS]]
-        np.fft.fft(chunk, n=length, axis=2, out=out[:, lo : lo + len(chunk)].transpose(1, 2, 0))
+
+    def transform(a: int, b: int) -> None:
+        lines = np.empty((n, length), dtype=complex)
+        for u in range(a, b):
+            np.fft.fft(roots[phases[u]], n=length, axis=1, out=lines)
+            out[:, u] = lines.T
+
+    _split(len(phases), transform)
     return out
 
 
@@ -264,33 +327,43 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
     check_scan_memory(len(rows) + (0 if mirror else len(cols)), n)
     spectra = _spectra(rows, length)
     other = spectra if mirror else _spectra(cols, length)
-    # One set of tile buffers, reused: no page faults on every tile.
+    # One set of tile buffers, reused: no page faults on every tile. The
+    # conjugated row block is dead once the product is formed, so the
+    # magnitudes take its buffer.
     w_buf = np.empty(length * _TILE_ROWS * other.shape[1], dtype=complex)
-    mag_buf = np.empty(w_buf.size)
+    tile_buf = np.empty(max(2 * length * _TILE_ROWS * n, w_buf.size))
     neg = length - n + 1  # the first row of w that holds a negative shift
     best, where, value = -np.inf, None, None
     for lo in range(0, len(rows), _TILE_ROWS):
         hi = min(lo + _TILE_ROWS, len(rows))
         col0 = lo if mirror else 0
         shape = (length, hi - lo, other.shape[1] - col0)
-        row_block = np.conj(spectra[:, lo:hi])
+        row_block = _view(tile_buf.view(complex), (length, hi - lo, n))
+        _split(length, lambda a, b: np.conjugate(spectra[a:b, lo:hi], out=row_block[a:b]))
         w = np.matmul(row_block, other[:, col0:].transpose(0, 2, 1), out=_view(w_buf, shape))
-        np.fft.ifft(w, axis=0, out=w)
-        # w[j, i, c] = conj R(lo + i, col0 + c, tau) at j = tau mod L: the
-        # row block is conjugated, so the shift sits at +tau, not -tau.
-        mags = np.abs(w, out=_view(mag_buf, shape))
+        mags = _view(tile_buf, shape)
         # Parts of the domain: (rows of w, first column, shift of each row,
         # whether the pair is read off its mirror).
         if mirror:
-            np.fill_diagonal(mags[0], -1.0)  # the in-phase terms (u, u, 0)
             parts = [(0, n, 0, np.arange(n), False), (0, 1, hi - lo, np.zeros(1, dtype=int), True)]
             parts.append((neg, length, hi - lo, np.arange(n - 1, 0, -1), True))
         else:
             parts = [(neg, length, 0, np.arange(1 - n, 0), False), (0, n, 0, np.arange(n), False)]
+
+        def reduce(a: int, b: int) -> list[float]:
+            """Tile rows [a, b): inverse FFT, magnitudes, each part's maximum."""
+            np.fft.ifft(w[:, a:b], axis=0, out=w[:, a:b])
+            # w[j, i, c] = conj R(lo + i, col0 + c, tau) at j = tau mod L: the
+            # row block is conjugated, so the shift sits at +tau, not -tau.
+            np.abs(w[:, a:b], out=mags[:, a:b])
+            if mirror:
+                np.fill_diagonal(mags[0, a:b, a:], -1.0)  # the in-phase terms (u, u, 0)
+            return [mags[j0:j1, a:b, c0:].max(initial=-np.inf) for j0, j1, c0, _, _ in parts]
+
+        top = float(np.max(_split(hi - lo, reduce)))
         views = [mags[j0:j1, :, c0:] for j0, j1, c0, _, _ in parts]
         for view in views if tally else ():
             tally(view)
-        top = max(view.max() for view in views if view.size)
         if top < best:
             continue
         found = []
@@ -305,7 +378,7 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
         first = np.lexsort((tau, u2, u1))[0]
         here = (int(u1[first]), int(u2[first]), int(tau[first]))
         if top > best or here < where:
-            best, where, value = float(top), here, complex(values[first])
+            best, where, value = top, here, complex(values[first])
     return best, where, value
 
 

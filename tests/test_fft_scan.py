@@ -5,6 +5,9 @@ hold more members than one scan tile (32 rows) without being a multiple of
 it, so full, partial and mirrored tiles all run.
 """
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,11 @@ def random_phases(n, k, seed, plant=None):
 def random_members(n, k, seed, plant=None):
     phases = random_phases(n, k, seed, plant)
     return [PhaseMatrix(n, 1, m, phases[m]) for m in range(k)]
+
+
+def interset_pair():
+    n = 33
+    return SequenceFamily(n, "ccc", random_phases(n, n, 7), k=1), SequenceFamily(n, "ccc", random_phases(n, n, 8), k=2)
 
 
 def direct_values(rows, cols, taus):
@@ -127,9 +135,8 @@ def test_mirrored_maximum_reports_its_own_value():
 
 
 def test_verify_interset_matches_direct_sums():
-    n = 33  # K = N = 33: one full tile and one partial
-    f1 = SequenceFamily(n, "ccc", random_phases(n, n, 7), k=1)
-    f2 = SequenceFamily(n, "ccc", random_phases(n, n, 8), k=2)
+    f1, f2 = interset_pair()  # K = N = 33: one full tile and one partial
+    n = f1.n
     taus = range(-(n - 1), n)
     mags = np.abs(direct_values(f1.members, f2.members, taus))
     report = verify_interset(f1, f2)
@@ -151,9 +158,76 @@ def test_corrupted_pool_maximum_is_a_direct_sum():
     assert report.delta_max == pytest.approx(abs(set_xcorr(family[u1], family[u2], tau)), abs=1e-9 * n)
 
 
+def test_reports_do_not_depend_on_worker_count(monkeypatch):
+    # 3 workers cut a 32-row tile and the 40 or 33 members unevenly.
+    families = [random_members(n, k, seed, plant) for n, k, seed, plant in FAMILIES]
+    f1, f2 = interset_pair()
+
+    def reports():
+        out = []
+        for members in families:
+            report = delta_max_scan(members, histogram_bins=7)
+            out.append((report.delta_max, report.argmax, report.histogram[0].tolist()))
+            out.append(verify_ccc(members))
+        out.append(verify_interset(f1, f2))
+        return repr(out)  # repr keeps every bit of every float
+
+    by_workers = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers' Python code as often as possible
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(correlation, "_workers", lambda: workers)
+            by_workers[workers] = reports()
+    finally:
+        sys.setswitchinterval(interval)
+    assert by_workers[1] == by_workers[2] == by_workers[3]
+
+
+def test_split_slices_and_raises(monkeypatch):
+    monkeypatch.setattr(correlation, "_workers", lambda: 3)
+    assert correlation._split(7, lambda a, b: (a, b)) == [(0, 2), (2, 4), (4, 7)]
+    assert correlation._split(2, lambda a, b: (a, b)) == [(0, 1), (1, 2)]  # no empty slice
+
+    def last_fails(a, b):
+        if b == 7:
+            raise ValueError("last slice")
+        return a
+
+    with pytest.raises(ValueError, match="last slice"):
+        correlation._split(7, last_fails)
+
+
+def test_scan_memory_within_estimate(monkeypatch):
+    n, k = 45, 60
+    members = random_members(n, k, 11)
+    stack = k * n * n * 8  # the (K, N, N) phase array a member list is stacked into
+    delta_max_scan(members)  # first use: numpy.fft imports its modules
+
+    def peak(workers):
+        monkeypatch.setattr(correlation, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            delta_max_scan(members)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak(1), peak(2)
+    assert two - stack <= check_scan_memory(k, n)
+    assert abs(two - one) <= 2**20
+
+
 def test_memory_estimate(monkeypatch):
-    # The N = 289 pool: K = 4624 members, L = 600.
-    need = 600 * 4624 * (16 * 289 + 24 * 32)
+    # The N = 289 pool: K = 4624 members, L = 600, on 3 workers. Spectra;
+    # per worker a gathered member, a line buffer and numpy's iteration
+    # buffers (8192 elements for each of two complex operands); one tile's
+    # pair products and the argmax mask; and the buffer the conjugated row
+    # block and the magnitudes share.
+    monkeypatch.setattr(correlation, "_workers", lambda: 3)
+    need = 600 * 4624 * 289 * 16 + 3 * (289 * (289 + 600) + 2 * 8192) * 16 + 600 * 32 * 4624 * 17
+    need += max(600 * 32 * 289 * 16, 600 * 32 * 4624 * 8)
     monkeypatch.setattr(correlation, "_physical_memory", lambda: need)
     assert check_scan_memory(4624, 289) == need
     monkeypatch.setattr(correlation, "_physical_memory", lambda: need - 1)
