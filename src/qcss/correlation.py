@@ -23,19 +23,25 @@ reduction order; the argmax is the first maximum in ascending (first
 member, second member, shift) order. A family against itself computes
 half the pairs and reads the rest off R(u2, u1, tau) = conj R(u1, u2, -tau).
 
-The numpy stages around the matrix product are split over
-W = min(CPUs this process may run on, 32) workers: the calling thread and
-W - 1 threads started for the stage, none when W = 1. The row spectra are
-split by member, the conjugated row block by frequency, and the inverse
-FFT, the magnitudes and each part's maximum by tile row. The product keeps
-BLAS's own threads and runs with no worker beside it. tally, the argmax
-search and the tile order stay on the calling thread, and every element is
-computed the same way whatever the split, so the results do not depend on
-W.
+A scan runs on W = min(CPUs this process may run on, 32) workers: the
+calling thread and W - 1 threads started for each stage, none when W = 1.
+The row spectra are split by member; each tile's conjugated row block and
+its product with the columns by frequency; and the inverse FFT, the
+magnitudes and each part's maximum by tile row. These are the only threads
+the scan runs: while it runs, OpenBLAS (found in the library numpy loaded)
+is held at one thread, and its thread count is restored when the scan ends
+or raises. Any other thread that calls BLAS during a scan gets one BLAS
+thread too. Where no OpenBLAS is found, the same code runs without the pin.
+tally, the argmax search and the tile order stay on the calling thread, and
+every element is computed the same way whatever the split, so the results
+do not depend on W or on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -249,9 +255,12 @@ def check_scan_memory(members: int, n: int) -> int:
 
 
 def _workers() -> int:
-    """Workers for the numpy stages of a scan, the calling thread
-    included: one per CPU this process may run on, at most one per tile
-    row."""
+    """Workers for every stage of a scan, the calling thread included: one
+    per CPU this process may run on, at most one per tile row. The product
+    is split by frequency over them, each slice a one-thread BLAS call, so
+    BLAS is pinned to one thread for the scan and restored after it (another
+    thread calling BLAS meanwhile gets one BLAS thread). Reports are
+    bit-identical for every W and every BLAS thread count."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -285,6 +294,60 @@ def _split(size: int, fn) -> list:
     return results
 
 
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS library numpy loaded,
+    found through /proc/self/maps, or None where there is none. Resolved
+    once per process, on first use."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is gone, or not a library
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _BlasPin(contextlib.ContextDecorator):
+    """Holds OpenBLAS at one thread while any scan runs. Scans that
+    overlap share the pin: the first to enter saves the thread count and
+    the last to leave restores it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._scans = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._scans and (blas := _openblas()) is not None:
+                get, set_ = blas
+                self._saved = get()
+                set_(1)
+            self._scans += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._scans -= 1
+            if not self._scans and (blas := _openblas()) is not None:
+                _, set_ = blas
+                set_(self._saved)
+
+
+_one_blas_thread = _BlasPin()
+
+
 def _spectra(phases: np.ndarray, length: int) -> np.ndarray:
     """Row spectra of a (K, N, N) phase array, frequency-major: C-contiguous
     complex (L, K, N), spectra[f, u, s] = DFT of row s of member u at
@@ -310,6 +373,7 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
+@_one_blas_thread
 def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
     """The FFT scan core: the first maximum of |R| over a scan domain of
     (K, N, N) phase arrays.
@@ -339,8 +403,14 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
         col0 = lo if mirror else 0
         shape = (length, hi - lo, other.shape[1] - col0)
         row_block = _view(tile_buf.view(complex), (length, hi - lo, n))
-        _split(length, lambda a, b: np.conjugate(spectra[a:b, lo:hi], out=row_block[a:b]))
-        w = np.matmul(row_block, other[:, col0:].transpose(0, 2, 1), out=_view(w_buf, shape))
+        w = _view(w_buf, shape)
+
+        def product(a: int, b: int) -> None:
+            """Frequencies [a, b): the conjugated row block times the columns."""
+            np.conjugate(spectra[a:b, lo:hi], out=row_block[a:b])
+            np.matmul(row_block[a:b], other[a:b, col0:].transpose(0, 2, 1), out=w[a:b])
+
+        _split(length, product)
         mags = _view(tile_buf, shape)
         # Parts of the domain: (rows of w, first column, shift of each row,
         # whether the pair is read off its mirror).
@@ -460,7 +530,13 @@ def delta_max_scan(family, tol: float | None = None, histogram_bins: int = 0) ->
     counts = np.zeros(histogram_bins, dtype=np.int64)
 
     def tally(mags: np.ndarray) -> None:
-        counts[:] += np.histogram(mags, bins=edges)[0]  # the -1 in-phase terms fall outside
+        # np.histogram copies a view that is not contiguous. Taken whole, a
+        # part of a tile would be copied beyond check_scan_memory; in 16
+        # slabs of shifts, a slab's copy fits in the argmax mask's bytes,
+        # which are free while tally runs.
+        step = -(-len(mags) // 16)
+        for j in range(0, len(mags), step):
+            counts[:] += np.histogram(mags[j : j + step], bins=edges)[0]  # the -1 in-phase terms fall outside
 
     delta_max, argmax, _ = _scan(phases, tally=tally if histogram_bins else None)
     histogram = (counts, edges) if histogram_bins else None

@@ -6,6 +6,7 @@ it, so full, partial and mirrored tiles all run.
 """
 
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -184,6 +185,105 @@ def test_reports_do_not_depend_on_worker_count(monkeypatch):
     assert by_workers[1] == by_workers[2] == by_workers[3]
 
 
+needs_openblas = pytest.mark.skipif(
+    correlation._openblas() is None, reason="no OpenBLAS thread-count functions in the BLAS numpy loaded"
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """Set OpenBLAS's thread count, and put the count back after the test."""
+    get, set_ = correlation._openblas()
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+@needs_openblas
+def test_blas_pinned_to_one_thread_and_restored(blas_threads):
+    get, set_ = blas_threads
+    members = random_members(5, 40, 3)
+    seen = []
+    for threads in (1, 2):
+        set_(threads)
+        delta_max_scan(members, histogram_bins=3)
+        delta_max_scan(members, histogram_bins=3)  # a second scan in the same process
+        assert get() == threads
+        correlation._scan(random_phases(5, 40, 3), tally=lambda mags: seen.append(get()))
+        assert get() == threads
+    assert set(seen) == {1}
+
+
+@needs_openblas
+def test_blas_threads_restored_when_tally_raises(blas_threads):
+    get, set_ = blas_threads
+    set_(2)
+
+    def tally(mags):
+        raise ValueError("tally")
+
+    with pytest.raises(ValueError, match="tally"):
+        correlation._scan(random_phases(5, 40, 3), tally=tally)
+    assert get() == 2
+
+
+@needs_openblas
+def test_overlapping_scans_restore_blas_threads(blas_threads):
+    # Scan a enters first and leaves first; scan b leaves last. Each scan
+    # saving and restoring the count on its own would leave b's saved 1.
+    get, set_ = blas_threads
+    set_(2)
+    phases = random_phases(5, 40, 3)
+    a_inside, b_inside, errors = threading.Event(), threading.Event(), []
+
+    def scan(tally):
+        try:
+            correlation._scan(phases, tally=tally)
+        except BaseException as exc:
+            errors.append(exc)
+
+    def tally_a(mags):
+        a_inside.set()
+        assert b_inside.wait(timeout=30)
+
+    a = threading.Thread(target=scan, args=(tally_a,))
+
+    def tally_b(mags):
+        b_inside.set()
+        a.join(timeout=30)
+
+    b = threading.Thread(target=scan, args=(tally_b,))
+    a.start()
+    assert a_inside.wait(timeout=30)
+    b.start()
+    for thread in (a, b):
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert not errors
+    assert get() == 2
+
+
+@needs_openblas
+def test_reports_do_not_depend_on_blas_threads(blas_threads):
+    # OpenBLAS's threaded zgemm matches its one-thread results bit for bit
+    # while the flock length N is at most 128, so every corrupted pool up to
+    # N = 105 agrees without the pin. These seeded families at N = 129 and
+    # 131 differed, in delta_max_scan, verify_ccc and verify_interset.
+    _, set_ = blas_threads
+    members = random_members(129, 33, 1)
+    n = 131
+    f1 = SequenceFamily(n, "ccc", random_phases(n, n, 11), k=1)
+    f2 = SequenceFamily(n, "ccc", random_phases(n, n, 21), k=2)
+    by_threads = {}
+    for threads in (1, 2):
+        set_(threads)
+        report = delta_max_scan(members, histogram_bins=7)
+        by_threads[threads] = repr(
+            [report.delta_max, report.argmax, report.histogram[0].tolist(), verify_ccc(members), verify_interset(f1, f2)]
+        )
+    assert by_threads[1] == by_threads[2]
+
+
 def test_split_slices_and_raises(monkeypatch):
     monkeypatch.setattr(correlation, "_workers", lambda: 3)
     assert correlation._split(7, lambda a, b: (a, b)) == [(0, 2), (2, 4), (4, 7)]
@@ -199,24 +299,27 @@ def test_split_slices_and_raises(monkeypatch):
 
 
 def test_scan_memory_within_estimate(monkeypatch):
-    n, k = 45, 60
-    members = random_members(n, k, 11)
-    stack = k * n * n * 8  # the (K, N, N) phase array a member list is stacked into
-    delta_max_scan(members)  # first use: numpy.fft imports its modules
+    # (N, K, histogram bins). The histogram tally must not copy a whole
+    # part of the tile: at N = 63 such a copy lifts the peak above the
+    # estimate.
+    for n, k, bins in [(45, 60, 0), (63, 126, 7)]:
+        members = random_members(n, k, 11)
+        stack = k * n * n * 8  # the (K, N, N) phase array a member list is stacked into
+        delta_max_scan(members[:2], histogram_bins=bins)  # first use: numpy.fft imports its modules
 
-    def peak(workers):
-        monkeypatch.setattr(correlation, "_workers", lambda: workers)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            delta_max_scan(members)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        def peak(workers):
+            monkeypatch.setattr(correlation, "_workers", lambda: workers)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                delta_max_scan(members, histogram_bins=bins)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
 
-    one, two = peak(1), peak(2)
-    assert two - stack <= check_scan_memory(k, n)
-    assert abs(two - one) <= 2**20
+        one, two = peak(1), peak(2)
+        assert two - stack <= check_scan_memory(k, n), (n, k, bins)
+        assert abs(two - one) <= 2**20
 
 
 def test_memory_estimate(monkeypatch):
