@@ -9,7 +9,6 @@ from .bounds import (
     OptimalityReport,
     QcssParams,
     TableRow,
-    asymptote_check,
     format_rho,
     liu_bound,
     optimality_factor,
@@ -60,16 +59,13 @@ from .errors import (
     ShiftOutOfRangeError,
 )
 from .modarith import (
-    DigitVector,
     Factorization,
     Permutation,
     UniqueSolutionReport,
     default_exponent,
     factorize,
-    from_digits,
     pi_perm,
     power_perm,
-    to_digits,
     verify_unique_solution,
 )
 
@@ -79,12 +75,9 @@ __all__ = [
     "__version__",
     # modarith
     "Factorization",
-    "DigitVector",
     "Permutation",
     "UniqueSolutionReport",
     "factorize",
-    "to_digits",
-    "from_digits",
     "power_perm",
     "default_exponent",
     "pi_perm",
@@ -123,7 +116,6 @@ __all__ = [
     "optimality_factor",
     "theoretical_params",
     "table_rows",
-    "asymptote_check",
     "format_rho",
     # errors
     "QcssError",

@@ -9,9 +9,10 @@ bound applies; rho = 1 is optimal and 1 < rho <= 2 near-optimal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
-from typing import Iterable, Literal
+from decimal import Context, Decimal, ROUND_HALF_UP
+from typing import Literal
 
 from .errors import DegenerateParamsError, PreconditionViolatedError
 from .modarith import factorize
@@ -32,6 +33,8 @@ class QcssParams:
     def __post_init__(self) -> None:
         if self.set_size < 1 or self.flock_size < 1 or self.length < 1:
             raise DegenerateParamsError("K, M and N must all be positive")
+        if not math.isfinite(self.delta_max):
+            raise DegenerateParamsError(f"delta_max must be finite, got {self.delta_max}")
         if self.delta_max < 0:
             raise DegenerateParamsError("delta_max must be non-negative")
 
@@ -113,6 +116,8 @@ def optimality_factor(params: QcssParams) -> OptimalityReport:
     if bound <= 0:
         raise DegenerateParamsError("lower bound is zero; optimality factor undefined")
     rho = params.delta_max / bound
+    if math.isinf(rho):
+        raise DegenerateParamsError(f"delta_max {params.delta_max} over the bound {bound} overflows")
     if rho < 1 - 1e-12:
         raise DegenerateParamsError(
             f"delta_max {params.delta_max} lies below the lower bound {bound}"
@@ -132,9 +137,13 @@ def theoretical_params(n: int) -> QcssParams:
     return QcssParams(n * (f.least_prime - 1), n, n, float(n))
 
 
+# Digits for any finite float to 4 decimals: up to 309 before the point.
+_RHO_CONTEXT = Context(prec=sys.float_info.max_10_exp + 1 + 4)
+
+
 def format_rho(rho: float) -> str:
     """4-decimal rendering, rounding halves away from zero."""
-    return str(Decimal(repr(float(rho))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(float(rho))).quantize(Decimal("0.0001"), ROUND_HALF_UP, _RHO_CONTEXT))
 
 
 # Built-in parameter sweeps. Factor lists multiply out to the modulus; the
@@ -189,12 +198,3 @@ def table_rows(which: str) -> list[TableRow]:
             TableRow(label, n, params.set_size, params.flock_size, params.length, report.rho)
         )
     return rows
-
-
-def asymptote_check(moduli: Iterable[int]) -> list[float]:
-    """Optimality factors along a sweep of moduli (theoretical delta_max = N).
-
-    With the least prime factor growing, the sequence decreases toward 1;
-    with the least prime pinned at 3 and N growing, it increases toward 2.
-    """
-    return [optimality_factor(theoretical_params(n)).rho for n in moduli]

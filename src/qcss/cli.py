@@ -300,7 +300,8 @@ def _cmd_generate(args) -> int:
 
 def _print_or_json(args, human_lines: list[str], payload: dict) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
+        # One line: with an indent CPython's C encoder is skipped, about 4x slower.
+        print(json.dumps(payload))
     else:
         for line in human_lines:
             print(line)

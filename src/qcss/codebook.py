@@ -145,12 +145,11 @@ def _broadcast(perm: Permutation, ks: Sequence[int], ms: Sequence[int]) -> np.nd
     """(len(ks) * len(ms), N, N) phases k*s*pi(t) + m*t (mod N), k-major:
     the set (ks[i], ms[j]) sits at i * len(ms) + j."""
     n = perm.modulus
-    pi = np.asarray(perm.table, dtype=np.int64)
     k = np.asarray(ks, dtype=np.int64)[:, None, None, None]
     m = np.asarray(ms, dtype=np.int64)[None, :, None, None]
     s = np.arange(n, dtype=np.int64)[:, None]
     t = np.arange(n, dtype=np.int64)
-    phases = k * s * pi + m * t
+    phases = k * s * perm.table + m * t
     phases = np.remainder(phases, n, out=phases).reshape(-1, n, n)
     phases.setflags(write=False)  # handed over to a member or family without a copy
     return phases
@@ -161,7 +160,7 @@ def phase(k: int, m: int, s: int, t: int, perm: Permutation) -> int:
     n = perm.modulus
     _check_family_indices(n, k)
     _check_in_range(n, m=m, s=s, t=t)
-    return (k * s * perm.table[t] + m * t) % n
+    return (k * s * perm(t) + m * t) % n
 
 
 def build_set(k: int, m: int, perm: Permutation) -> PhaseMatrix:

@@ -22,7 +22,7 @@ class OutOfRangeError(QcssError):
 
 
 class ShapeMismatchError(QcssError):
-    """A digit vector or table does not match the expected layout."""
+    """A table or array does not match the expected layout."""
 
 
 class NotPrimeError(QcssError):

@@ -1,23 +1,22 @@
 """Exact integer arithmetic over Z_N for odd N.
 
-Factorization, mixed-radix digit maps, power permutations on prime fields,
-the composite digit permutation built from them, and the partner map and
-its shift counts by ratio (shift_extremes) that the unique-solution scan
-and the exact correlation engine share.
+Factorization, power permutations on prime fields, the composite digit
+permutation built from them, and the partner map and its shift counts by
+ratio (shift_extremes) that the unique-solution scan and the exact
+correlation engine share.
 Everything here is pure-integer and deterministic; no value ever touches
 floating point.
 
 The digit permutation touches only the last mixed-radix digit, whose base
 is the largest prime p and whose weight is 1, so it has the closed form
 pi(i) = i - (i mod p) + ((i mod p)^e mod p). pi_perm evaluates that form
-on whole arrays; to_digits, from_digits and DigitVector spell the digit
-definition out element by element and are the reference the tests hold
-pi_perm to.
+on whole arrays; tests/test_modarith.py spells the digit definition out
+element by element and holds pi_perm to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import (
     ModulusTooSmallError,
     NotCoprimeError,
     NotPrimeError,
-    OutOfRangeError,
     ShapeMismatchError,
 )
 
@@ -55,49 +53,39 @@ class Factorization:
     def largest_prime(self) -> int:
         return self.primes[-1]
 
-    def digit_bases(self) -> tuple[int, ...]:
-        """Mixed-radix base sequence: e_0 copies of p_0, then e_1 of p_1, ..."""
-        return tuple(p for p, e in zip(self.primes, self.exponents) for _ in range(e))
 
-
-@dataclass(frozen=True)
-class DigitVector:
-    """Mixed-radix digits of an element of Z_N, as (value, base) pairs.
-
-    Most-significant digit first within each prime block; prime blocks run
-    in ascending-prime order. The weight of a digit is the product of all
-    later bases.
-    """
-
-    digits: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for value, base in self.digits:
-            if base < 2 or not 0 <= value < base:
-                raise ShapeMismatchError(f"digit {value} out of range for base {base}")
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.digits)
-
-    @property
-    def bases(self) -> tuple[int, ...]:
-        return tuple(b for _, b in self.digits)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
-    """A bijection on Z_modulus stored as an index -> image table."""
+    """A bijection on Z_modulus: table[x] is the image of x, inverse[y] the
+    preimage of y. Both are read-only C-contiguous int64 arrays, built and
+    checked once; the caller's table (a list, tuple or array) is copied."""
 
     modulus: int
-    table: tuple[int, ...]
+    table: np.ndarray
+    inverse: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.modulus or sorted(self.table) != list(range(self.modulus)):
-            raise ShapeMismatchError("table is not a bijection on Z_%d" % self.modulus)
+        n = self.modulus
+        refused = ShapeMismatchError(f"table is not a bijection on Z_{n}")
+        try:
+            given = np.asarray(self.table)
+        except ValueError:  # ragged rows
+            raise refused from None
+        # Entries in [0, n) before they index the inverse: a negative one would wrap.
+        if given.dtype.kind not in "iu" or given.shape != (n,) or np.any((given < 0) | (given >= n)):
+            raise refused
+        table = given.astype(np.int64)  # a copy: the caller's array is never aliased
+        inverse = np.full(n, -1, dtype=np.int64)
+        inverse[table] = np.arange(n, dtype=np.int64)
+        if np.any(inverse < 0):  # a repeated image leaves some preimage unset
+            raise refused
+        table.setflags(write=False)
+        inverse.setflags(write=False)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "inverse", inverse)
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
+        return int(self.table[x])
 
 
 @dataclass(frozen=True)
@@ -147,32 +135,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(primes), tuple(exponents))
 
 
-def to_digits(i: int, f: Factorization) -> DigitVector:
-    """Expand i in the mixed radix given by f's digit bases."""
-    if not 0 <= i < f.n:
-        raise OutOfRangeError(f"{i} is not in [0, {f.n})")
-    digits: list[tuple[int, int]] = []
-    rem, weight = i, f.n
-    for base in f.digit_bases():
-        weight //= base
-        digits.append((rem // weight, base))
-        rem %= weight
-    return DigitVector(tuple(digits))
-
-
-def from_digits(d: DigitVector, f: Factorization) -> int:
-    """Collapse a digit vector back to its value in Z_N; inverse of to_digits."""
-    if d.bases != f.digit_bases():
-        raise ShapeMismatchError(
-            f"digit bases {d.bases} do not match the factorization of {f.n}"
-        )
-    value, weight = 0, f.n
-    for v, base in d.digits:
-        weight //= base
-        value += v * weight
-    return value
-
-
 def power_perm(p: int, e: int) -> Permutation:
     """The permutation x -> x**e mod p on Z_p.
 
@@ -185,7 +147,7 @@ def power_perm(p: int, e: int) -> Permutation:
         raise NotCoprimeError(f"exponent must be a positive integer, got {e}")
     if gcd(p - 1, e) != 1:
         raise NotCoprimeError(f"gcd({p} - 1, {e}) = {gcd(p - 1, e)} != 1")
-    return Permutation(p, tuple(pow(x, e, p) for x in range(p)))
+    return Permutation(p, [pow(x, e, p) for x in range(p)])
 
 
 def default_exponent(p: int) -> int:
@@ -201,21 +163,21 @@ def default_exponent(p: int) -> int:
 def pi_perm(f: Factorization, e: int | None = None) -> Permutation:
     """Digit permutation on Z_N: the last digit goes through x -> x**e.
 
-    In mixed radix (see to_digits) only the final digit, whose base is the
-    largest prime p and whose weight is 1, is permuted by the power map, so
+    In mixed radix only the final digit, whose base is the largest prime p
+    and whose weight is 1, is permuted by the power map, so
     pi(i) = i - (i mod p) + ((i mod p)^e mod p). That closed form is
     evaluated here with one lookup in the power_perm table; the digit
-    functions are its reference. When N is prime this degenerates to
-    power_perm(N, e). If e is omitted, the smallest admissible exponent
-    >= 2 is used.
+    reference in tests/test_modarith.py holds it to the definition of pi.
+    When N is prime this degenerates to power_perm(N, e). If e is omitted,
+    the smallest admissible exponent >= 2 is used.
     """
     p_last = f.largest_prime
     if e is None:
         e = default_exponent(p_last)
-    xi = np.asarray(power_perm(p_last, e).table, dtype=np.int64)
+    xi = power_perm(p_last, e).table
     i = np.arange(f.n, dtype=np.int64)
     last = i % p_last
-    return Permutation(f.n, tuple((i - last + xi[last]).tolist()))
+    return Permutation(f.n, i - last + xi[last])
 
 
 def _check_modulus(f: Factorization, perm: Permutation) -> None:
@@ -230,12 +192,8 @@ def partner_map(perm: Permutation, c) -> np.ndarray:
     (one row per c, shape (len(c), N)). For c a unit mod N the map is a
     bijection; t' is the unique index where c * perm(t) reappears.
     """
-    n = perm.modulus
-    table = np.asarray(perm.table, dtype=np.int64)
-    inverse = np.empty_like(table)
-    inverse[table] = np.arange(n, dtype=np.int64)
-    images = np.multiply.outer(np.asarray(c, dtype=np.int64), table)
-    return inverse[np.remainder(images, n, out=images)]
+    images = np.multiply.outer(np.asarray(c, dtype=np.int64), perm.table)
+    return perm.inverse[np.remainder(images, perm.modulus, out=images)]
 
 
 def _shift_counts(perm: Permutation, ratios) -> np.ndarray:

@@ -6,7 +6,6 @@ from qcss import (
     DegenerateParamsError,
     PreconditionViolatedError,
     QcssParams,
-    asymptote_check,
     build_qcss,
     delta_max_scan,
     factorize,
@@ -144,6 +143,13 @@ class TestOptimalityFactor:
             QcssParams(0, 1, 1, 0.0)
         with pytest.raises(DegenerateParamsError):
             QcssParams(3, 1, 1, -2.0)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(DegenerateParamsError):
+                QcssParams(3, 1, 1, delta)
+
+    def test_overflowing_factor_rejected(self):
+        with pytest.raises(DegenerateParamsError):
+            optimality_factor(QcssParams(2, 1, 2, 1.7e308))  # the bound is below 1
 
     def test_measured_delta_matches_theoretical(self):
         # The scanned maximum of the constructed pool must give the same
@@ -179,6 +185,7 @@ class TestFormatRho:
 
     def test_plain(self):
         assert format_rho(1.5) == "1.5000"
+        assert format_rho(1e300) == "1" + "0" * 300 + ".0000"
 
 
 class TestTableRows:
@@ -213,6 +220,15 @@ class TestTableRows:
     def test_unknown_table(self):
         with pytest.raises(DegenerateParamsError):
             table_rows("vi")
+
+
+def asymptote_check(moduli):
+    """Optimality factors along a sweep of moduli (theoretical delta_max = N).
+
+    With the least prime factor growing, the sequence decreases toward 1;
+    with the least prime pinned at 3 and N growing, it increases toward 2.
+    """
+    return [optimality_factor(theoretical_params(n)).rho for n in moduli]
 
 
 class TestAsymptoteCheck:

@@ -143,6 +143,7 @@ class TestVerify:
             "verify", "--n", "15", "--scope", "qcss", "--json", capsys=capsys
         )
         assert code == EXIT_OK
+        assert stdout.count("\n") == 1 and stdout.endswith("}\n")
         payload = json.loads(stdout)
         assert payload["ok"] is True
         assert payload["set_size"] == 30
@@ -433,6 +434,24 @@ class TestBounds:
         code, _, stderr = run_cli("bounds", "--k", "10", "--m", "20", "--n", "5", capsys=capsys)
         assert code == EXIT_BAD_ARGS
         assert "K < M" in stderr
+
+    @pytest.mark.parametrize(
+        "k,m,n,delta", [(30, 15, 15, "nan"), (30, 15, 15, "inf"), (2, 1, 2, "1.7e308")]
+    )
+    def test_unusable_delta_rejected(self, k, m, n, delta, capsys):
+        code, stdout, stderr = run_cli(
+            "bounds", "--k", str(k), "--m", str(m), "--n", str(n), "--delta", delta, capsys=capsys
+        )
+        assert code == EXIT_BAD_ARGS
+        assert "rho" not in stdout
+        assert stderr.count("\n") == 1 and "delta_max" in stderr and "Traceback" not in stderr
+
+    def test_huge_finite_delta(self, capsys):
+        code, stdout, _ = run_cli(
+            "bounds", "--k", "30", "--m", "15", "--n", "15", "--delta", "1e30", capsys=capsys
+        )
+        assert code == EXIT_OK
+        assert "rho=1" in stdout and "not-near-optimal" in stdout
 
     def test_json_output(self, capsys):
         code, stdout, _ = run_cli(
