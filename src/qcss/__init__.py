@@ -39,7 +39,6 @@ from .correlation import (
     verify_ccc,
     verify_ccc_exact,
     verify_interset,
-    verify_interset_exact,
     verify_intersets_exact,
     xcorr_all_shifts_fft,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "verify_interset",
     "delta_max_scan",
     "verify_ccc_exact",
-    "verify_interset_exact",
     "verify_intersets_exact",
     "delta_max_exact",
     # bounds

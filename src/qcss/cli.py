@@ -310,8 +310,8 @@ def _print_or_json(args, human_lines: list[str], payload: dict) -> None:
 def _cmd_verify(args) -> int:
     f = factorize(args.n)
     n, p0 = f.n, f.least_prime
-    if args.tol is not None and not args.tol >= 0:
-        raise _ArgError(f"--tol must be >= 0, got {args.tol}")
+    if args.tol is not None and not 0 <= args.tol < float("inf"):
+        raise _ArgError(f"--tol must be finite and >= 0, got {args.tol}")
     corrupt = _parse_corrupt(args.corrupt, n, p0) if args.corrupt else None
     if corrupt and args.scope == "permutation":
         raise _ArgError("--corrupt needs a correlation scope: ccc, interset or qcss")

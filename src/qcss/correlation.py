@@ -6,12 +6,12 @@ path is checked against the direct one in the test suite; it never
 replaces it.
 
 Families built from a permutation pi also have an exact engine
-(verify_ccc_exact, verify_interset_exact, verify_intersets_exact,
-delta_max_exact): summing over the flock index turns every flock-summed
-value into an integer identity, so it reads results off shift counts, one
-per ratio class of family pairs, instead of scanning spectra. The
-FFT scanners serve arbitrary phase matrices, and the tests hold the two
-engines equal on constructed families.
+(verify_ccc_exact, verify_intersets_exact, delta_max_exact): summing
+over the flock index turns every flock-summed value into an integer
+identity, so it reads results off shift counts, one per ratio class of
+family pairs, instead of scanning spectra. The FFT scanners serve
+arbitrary phase matrices, and the tests hold the two engines equal on
+constructed families.
 
 One FFT scan core (_scan) serves verify_ccc, verify_interset and
 delta_max_scan. It reads a family's (K, N, N) phase array a tile at a
@@ -95,12 +95,6 @@ class CorrelationProfile:
     @property
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.values)
-
-    def value_at(self, tau: int) -> complex:
-        n = (len(self.shifts) + 1) // 2
-        if not -n < tau < n:
-            raise ShiftOutOfRangeError(f"shift {tau} outside [-(N-1), N-1] for N={n}")
-        return complex(self.values[tau + n - 1])
 
 
 @dataclass(frozen=True)
@@ -630,33 +624,20 @@ def _interset_fields(n: int, extremes, tol: float) -> tuple:
     return n * peak <= n + tol, float(n * peak), (0, 0, first), dichotomy <= tol, dichotomy
 
 
-def verify_interset_exact(
-    k1: int, k2: int, perm: Permutation, tol: float | None = None
-) -> IntersetReport:
-    """Cross-family scan between families k1 and k2 of the construction.
+def verify_intersets_exact(
+    f: Factorization, perm: Permutation, tol: float | None = None
+) -> list[IntersetReport]:
+    """Cross-family scans of every pair of families k1 < k2 of the
+    construction, in ascending (k1, k2) order, read off one table of ratio
+    classes.
 
-    Same domain and report as verify_interset(build_ccc(k1, perm),
+    Each report is that of verify_interset(build_ccc(k1, perm),
     build_ccc(k2, perm)): every member pair at every shift in
     [-(N-1), N-1], default tol 1e-6 * N. The largest magnitude is
     N * max |S_tau| and the dichotomy deviation N * (max |S_tau| - 1), or
     0 when every |S_tau| <= 1; the argmax is the first maximum in
     (m1, m2, tau) order.
     """
-    n = perm.modulus
-    _check_family_indices(n, k1, k2)
-    if k1 == k2:
-        raise FamilyMismatchError(f"families must have distinct indices, both k={k1}")
-    tol = 1e-6 * n if tol is None else tol
-    extremes = shift_extremes(perm, [k1 * pow(k2, -1, n) % n])[0, 0].tolist()
-    ok, magnitude, argmax, dichotomy_ok, dichotomy = _interset_fields(n, extremes, tol)
-    return IntersetReport(ok, n, k1, k2, tol, magnitude, argmax, dichotomy_ok, dichotomy, engine="exact")
-
-
-def verify_intersets_exact(
-    f: Factorization, perm: Permutation, tol: float | None = None
-) -> list[IntersetReport]:
-    """verify_interset_exact for every pair of families k1 < k2, in
-    ascending (k1, k2) order, read off one table of ratio classes."""
     _check_modulus(f, perm)
     n, families = f.n, f.least_prime - 1
     tol = 1e-6 * n if tol is None else tol

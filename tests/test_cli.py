@@ -1,12 +1,23 @@
 import csv
 import json
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qcss import QcssError, build_ccc, build_qcss, build_set, correlation, factorize, pi_perm
+from qcss import (
+    Permutation,
+    QcssError,
+    build_ccc,
+    build_qcss,
+    build_set,
+    correlation,
+    factorize,
+    pi_perm,
+    verify_unique_solution,
+)
 from qcss import cli
 from qcss.cli import (
     EXIT_BAD_ARGS,
@@ -134,6 +145,27 @@ class TestVerify:
         _, stdout, _ = run_cli("verify", "--n", "15", "--scope", "permutation", capsys=capsys)
         assert "unique-solution: ok (all tau,c)" in stdout
 
+    def test_permutation_failure(self, monkeypatch, capsys):
+        # A shuffled table lacks the unique-solution property: exit 1, and
+        # the report lists every (tau, c, count) whose count is not 1.
+        table = list(range(15))
+        random.Random(1).shuffle(table)
+        perm = Permutation(15, table)
+        monkeypatch.setattr(cli, "_make_perm", lambda f, e: (perm, 3))
+        violations = verify_unique_solution(factorize(15), perm).violations
+        assert violations
+        code, stdout, _ = run_cli("verify", "--n", "15", "--scope", "permutation", "--json", capsys=capsys)
+        assert code == EXIT_VERIFY_FAILED
+        payload = json.loads(stdout)
+        assert payload["ok"] is False
+        assert payload["violations"] == [list(v) for v in violations]
+        code, stdout, _ = run_cli("verify", "--n", "15", "--scope", "permutation", capsys=capsys)
+        tau, c, count = violations[0]
+        assert code == EXIT_VERIFY_FAILED
+        assert stdout == (
+            f"unique-solution: FAILED ({len(violations)} violations; first tau={tau} c={c} count={count})\n"
+        )
+
     def test_qcss_output(self, capsys):
         _, stdout, _ = run_cli("verify", "--n", "15", "--scope", "qcss", capsys=capsys)
         assert "delta_max=15.000000 ok" in stdout
@@ -188,7 +220,7 @@ class TestVerify:
         assert code == EXIT_BAD_ARGS
         assert stderr.count("\n") == 1 and "--corrupt" in stderr
 
-    @pytest.mark.parametrize("tol", ["-1", "-0.001", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "-0.001", "nan", "inf", "1e400"])
     def test_negative_tol_rejected(self, tol, capsys):
         code, stdout, stderr = run_cli(
             "verify", "--n", "15", "--scope", "ccc", "--tol", tol, capsys=capsys
@@ -395,6 +427,13 @@ class TestLoaders:
         with pytest.raises(QcssError, match=f"'{field}' must be an integer"):
             family_from_json_obj(obj)
 
+    @pytest.mark.parametrize("bad", [5, None, [1], "ab"])
+    def test_members_not_a_list_of_objects(self, bad, perm15):
+        obj = self.bundle(perm15)
+        obj["members"] = bad
+        with pytest.raises(QcssError, match="members must be a list of objects"):
+            family_from_json_obj(obj)
+
     def test_wrong_shape(self, perm15):
         obj = self.bundle(perm15)
         obj["members"][0]["phases"].pop()
@@ -445,6 +484,19 @@ class TestBounds:
         assert code == EXIT_BAD_ARGS
         assert "rho" not in stdout
         assert stderr.count("\n") == 1 and "delta_max" in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--k", "1", "--m", "1", "--n", "1"), "K(2N - 1) - 1 must be positive"),
+            (("--k", "5", "--m", "5", "--n", "5", "--delta", "3"), "lower bound is zero"),
+        ],
+    )
+    def test_degenerate_bound_rejected(self, argv, message, capsys):
+        code, stdout, stderr = run_cli("bounds", *argv, capsys=capsys)
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert stderr.count("\n") == 1 and message in stderr and "Traceback" not in stderr
 
     def test_huge_finite_delta(self, capsys):
         code, stdout, _ = run_cli(
