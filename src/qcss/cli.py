@@ -576,6 +576,9 @@ def main(argv: list[str] | None = None) -> int:
     except QcssError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except MemoryError as exc:  # a modulus too large to build, such as N = 3^25
+        print(f"error: out of memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return EXIT_BAD_ARGS
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

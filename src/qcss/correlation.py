@@ -98,17 +98,6 @@ class CorrelationProfile:
 
 
 @dataclass(frozen=True)
-class SetCorrelationViolation:
-    """One offending flock-summed correlation value."""
-
-    m1: int
-    m2: int
-    tau: int
-    value: complex
-    deviation: float
-
-
-@dataclass(frozen=True)
 class CccReport:
     """Result of the exhaustive complete-complementarity scan of one family."""
 
@@ -120,7 +109,6 @@ class CccReport:
     argmax: tuple[int, int, int]  # (m1, m2, tau)
     peak_deviation: float         # worst |value - N^2| over the (m, m, 0) peaks
     offpeak_max: float            # largest magnitude outside the peaks
-    worst_violation: SetCorrelationViolation | None
     engine: str = "fft"           # "exact" or "fft"
 
 
@@ -378,8 +366,7 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
     pairs (u2 >= hi, u1) are read off R(u2, u1, tau) = conj R(u1, u2, -tau).
     Otherwise it is every (row, column) pair over shifts -(N-1)..N-1.
     tally(mags) sees the magnitudes of every part of every tile (in-phase
-    terms read -1). Returns the largest magnitude, its first (u1, u2, tau)
-    and the value R there.
+    terms read -1). Returns the largest magnitude and its first (u1, u2, tau).
     """
     n, length, mirror = rows.shape[-1], _fft_length(rows.shape[-1]), cols is None
     check_scan_memory(len(rows) + (0 if mirror else len(cols)), n)
@@ -391,7 +378,7 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
     w_buf = np.empty(length * _TILE_ROWS * other.shape[1], dtype=complex)
     tile_buf = np.empty(max(2 * length * _TILE_ROWS * n, w_buf.size))
     neg = length - n + 1  # the first row of w that holds a negative shift
-    best, where, value = -np.inf, None, None
+    best, where = -np.inf, None
     for lo in range(0, len(rows), _TILE_ROWS):
         hi = min(lo + _TILE_ROWS, len(rows))
         col0 = lo if mirror else 0
@@ -431,19 +418,19 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
         if top < best:
             continue
         found = []
-        for view, (j0, _, c0, taus, mirrored) in zip(views, parts):
+        for view, (_, _, c0, taus, mirrored) in zip(views, parts):
             s, i, c = np.nonzero(view == top)
-            u_row, u_col, at = lo + i, col0 + c0 + c, w[j0 + s, i, c0 + c]
+            u_row, u_col = lo + i, col0 + c0 + c
             if mirrored:  # R(u_col, u_row, tau) = conj R(u_row, u_col, -tau)
-                found.append((u_col, u_row, taus[s], at))
+                found.append((u_col, u_row, taus[s]))
             else:
-                found.append((u_row, u_col, taus[s], np.conj(at)))
-        u1, u2, tau, values = (np.concatenate(x) for x in zip(*found))
+                found.append((u_row, u_col, taus[s]))
+        u1, u2, tau = (np.concatenate(x) for x in zip(*found))
         first = np.lexsort((tau, u2, u1))[0]
         here = (int(u1[first]), int(u2[first]), int(tau[first]))
         if top > best or here < where:
-            best, where, value = top, here, complex(values[first])
-    return best, where, value
+            best, where = top, here
+    return best, where
 
 
 def _phase_array(family) -> np.ndarray:
@@ -470,17 +457,16 @@ def verify_ccc(family, tol: float | None = None) -> CccReport:
     n = phases.shape[-1]
     if tol is None:
         tol = 1e-6 * n * n
-    offpeak_max, argmax, value = _scan(phases)
+    offpeak_max, argmax = _scan(phases)
     offpeak_max = max(offpeak_max, 0.0)
     peaks = np.abs(np.array([set_xcorr(mat, mat, 0) for mat in family]) - n * n)  # direct sums
     m = int(np.argmax(peaks))
     peak_dev = float(peaks[m])
     if peak_dev > offpeak_max or (peak_dev == offpeak_max and (m, m, 0) < argmax):
-        argmax, value = (m, m, 0), set_xcorr(family[m], family[m], 0)
+        argmax = (m, m, 0)
     max_dev = max(peak_dev, offpeak_max)
     ok = max_dev <= tol
-    worst = None if ok else SetCorrelationViolation(*argmax, value, max_dev)
-    return CccReport(ok, n, getattr(family, "k", None), tol, max_dev, argmax, peak_dev, offpeak_max, worst)
+    return CccReport(ok, n, getattr(family, "k", None), tol, max_dev, argmax, peak_dev, offpeak_max)
 
 
 def verify_interset(f1: SequenceFamily, f2: SequenceFamily, tol: float | None = None) -> IntersetReport:
@@ -500,7 +486,7 @@ def verify_interset(f1: SequenceFamily, f2: SequenceFamily, tol: float | None = 
     if tol is None:
         tol = 1e-6 * n
     worst = [0.0]  # distance to the nearer of {0, N}, per part
-    max_mag, argmax, _ = _scan(
+    max_mag, argmax = _scan(
         f1.phases, f2.phases, lambda mags: worst.append(np.minimum(mags, np.abs(mags - n)).max())
     )
     dichotomy = float(max(worst))
@@ -532,7 +518,7 @@ def delta_max_scan(family, tol: float | None = None, histogram_bins: int = 0) ->
         for j in range(0, len(mags), step):
             counts[:] += np.histogram(mags[j : j + step], bins=edges)[0]  # the -1 in-phase terms fall outside
 
-    delta_max, argmax, _ = _scan(phases, tally=tally if histogram_bins else None)
+    delta_max, argmax = _scan(phases, tally=tally if histogram_bins else None)
     histogram = (counts, edges) if histogram_bins else None
     return CorrelationReport(delta_max, argmax, n, len(phases), tol, histogram)
 
@@ -610,8 +596,7 @@ def verify_ccc_exact(k: int, perm: Permutation, tol: float | None = None) -> Ccc
     if tol is None:
         tol = 1e-6 * n * n
     ok = 0.0 <= tol
-    worst = None if ok else SetCorrelationViolation(0, 0, 0, complex(n * n), 0.0)
-    return CccReport(ok, n, k, tol, 0.0, (0, 0, 0), 0.0, 0.0, worst, engine="exact")
+    return CccReport(ok, n, k, tol, 0.0, (0, 0, 0), 0.0, 0.0, engine="exact")
 
 
 def _interset_fields(n: int, extremes, tol: float) -> tuple:

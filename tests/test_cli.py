@@ -229,6 +229,21 @@ class TestVerify:
         assert stdout == ""
         assert stderr.count("\n") == 1 and "--tol" in stderr and "Traceback" not in stderr
 
+    @pytest.mark.parametrize("command", ["verify", "generate"])
+    @pytest.mark.parametrize("message", ["Unable to allocate 6.16 TiB", ""])
+    def test_out_of_memory_exits_2(self, command, message, tmp_path, monkeypatch, capsys):
+        # pi_perm's table at N = 3^25 raises MemoryError; patched here, so
+        # nothing large is allocated.
+        def refuse(f, e):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "pi_perm", refuse)
+        extra = ["--scope", "qcss"] if command == "verify" else ["--out", str(tmp_path / "pool.json")]
+        code, stdout, stderr = run_cli(command, "--n", "15", *extra, capsys=capsys)
+        assert (code, stdout) == (EXIT_BAD_ARGS, "")
+        assert stderr.count("\n") == 1 and stderr.startswith("error: out of memory")
+        assert message in stderr and "Traceback" not in stderr
+
     @pytest.mark.parametrize("scope", ["ccc", "interset", "qcss"])
     def test_engine_named(self, scope, capsys):
         code, stdout, _ = run_cli("verify", "--n", "15", "--scope", scope, capsys=capsys)

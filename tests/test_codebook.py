@@ -159,6 +159,13 @@ class TestFamilyType:
         with pytest.raises(ShapeMismatchError):
             PhaseMatrix(3, 1, 0, np.zeros((3, 4), dtype=np.int64))
 
+    def test_unequal_to_other_types(self, perm15):
+        family = build_ccc(1, perm15)
+        for other in (None, 0, "ccc", (1, 0)):
+            assert family != other and not family == other
+            assert family[0] != other and not family[0] == other
+        assert family != family[0] and family[0] != family
+
 
 @st.composite
 def construction(draw):

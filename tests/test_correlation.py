@@ -6,6 +6,7 @@ import pytest
 from qcss import (
     FamilyMismatchError,
     LengthMismatchError,
+    PhaseMatrix,
     SequenceFamily,
     ShiftOutOfRangeError,
     aperiodic_xcorr,
@@ -23,6 +24,7 @@ from qcss import (
     verify_interset,
     xcorr_all_shifts_fft,
 )
+from qcss import correlation
 
 
 def random_unit_pair(n, rng):
@@ -174,6 +176,14 @@ class TestSetXcorr:
     def test_modulus_mismatch(self, perm15, perm35):
         with pytest.raises(LengthMismatchError):
             set_xcorr(build_set(1, 0, perm15), build_set(1, 0, perm35), 0)
+        with pytest.raises(LengthMismatchError):
+            set_xcorr_profile(build_set(1, 0, perm15), build_set(1, 0, perm35))
+
+    @pytest.mark.parametrize("tau", [-15, 15, 40])
+    def test_shift_out_of_range(self, perm15, tau):
+        a = build_set(1, 0, perm15)
+        with pytest.raises(ShiftOutOfRangeError):
+            set_xcorr(a, a, tau)
 
 
 def corrupt_one_entry(family, m, s, t):
@@ -191,14 +201,34 @@ class TestVerifyCcc:
         assert report.ok
         assert report.peak_deviation <= report.tol
         assert report.offpeak_max <= report.tol
-        assert report.worst_violation is None
 
     def test_corruption_detected(self, perm15):
         family = corrupt_one_entry(build_ccc(1, perm15), m=3, s=5, t=7)
         report = verify_ccc(family)
         assert not report.ok
-        assert report.worst_violation is not None
         assert report.max_deviation > report.tol
+
+    def test_peak_wins_over_smaller_offpeak(self, perm15, monkeypatch):
+        # No clean family has an off-peak maximum at or below its peak
+        # deviation, so the scan is patched to report a zero one.
+        monkeypatch.setattr(correlation, "_scan", lambda phases: (0.0, (0, 1, 1)))
+        family = build_ccc(1, perm15)
+        report = verify_ccc(family)
+        peaks = [abs(set_xcorr(mat, mat, 0) - 225) for mat in family]
+        m = int(np.argmax(peaks))
+        assert peaks[m] > 0.0
+        assert report.argmax == (m, m, 0)
+        assert report.max_deviation == report.peak_deviation == peaks[m]
+        assert report.offpeak_max == 0.0
+
+    def test_peak_wins_a_tie_in_argmax_order(self, monkeypatch):
+        # Constant phases make every peak exactly N^2, a deviation of 0.0,
+        # which ties the patched off-peak maximum; (0, 0, 0) comes first.
+        monkeypatch.setattr(correlation, "_scan", lambda phases: (0.0, (0, 1, 1)))
+        members = [PhaseMatrix(5, 1, m, np.zeros((5, 5), dtype=np.int64)) for m in range(3)]
+        report = verify_ccc(members)
+        assert report.argmax == (0, 0, 0)
+        assert (report.max_deviation, report.peak_deviation, report.ok) == (0.0, 0.0, True)
 
 
 class TestVerifyInterset:

@@ -465,8 +465,9 @@ class TestPermutationType:
             (3, (0, 1, -1)),
             (2, ((0, 1), (1, 0))),
             (2, (0.5, 1.0)),
+            (3, ((0, 1), (2,))),
         ],
-        ids=["duplicate", "too-short", "out-of-range-n", "out-of-range-negative", "2-d", "non-integer"],
+        ids=["duplicate", "too-short", "out-of-range-n", "out-of-range-negative", "2-d", "non-integer", "ragged"],
     )
     def test_rejects_non_bijection(self, modulus, table):
         with pytest.raises(ShapeMismatchError):
