@@ -76,7 +76,7 @@ def welch_bound(set_size: int, flock_size: int, length: int) -> float:
     denom = set_size * (2 * length - 1) - 1
     if denom <= 0:
         raise DegenerateParamsError("K(2N - 1) - 1 must be positive")
-    return flock_size * length * math.sqrt((set_size / flock_size - 1) / denom)
+    return _finite("Welch", lambda: flock_size * length * math.sqrt((set_size / flock_size - 1) / denom))
 
 
 def liu_bound(set_size: int, flock_size: int, length: int) -> float:
@@ -84,9 +84,20 @@ def liu_bound(set_size: int, flock_size: int, length: int) -> float:
     failed = _liu_violations(set_size, flock_size, length)
     if failed:
         raise PreconditionViolatedError("violated: " + ", ".join(failed))
-    return math.sqrt(
-        flock_size * length * (1 - 2 * math.sqrt(flock_size / (3 * set_size)))
+    return _finite(
+        "Liu", lambda: math.sqrt(flock_size * length * (1 - 2 * math.sqrt(flock_size / (3 * set_size))))
     )
+
+
+def _finite(name: str, formula) -> float:
+    """formula(); DegenerateParamsError where its float arithmetic overflows."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise DegenerateParamsError(f"the {name} bound overflows a float for these K, M and N")
+    return value
 
 
 def _liu_violations(set_size: int, flock_size: int, length: int) -> list[str]:

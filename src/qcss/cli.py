@@ -111,6 +111,14 @@ def _first_bad_line(lines: list[str]) -> str:
     return "ragged rows"
 
 
+def _check_cells(n: int, shape: tuple[int, ...]) -> None:
+    """Refuse cells that are not N x N before N is factorized: trial
+    division of a huge N runs for minutes, and its cells show at once that
+    it is wrong. An even or too small N is left to factorize to name."""
+    if n >= 3 and n % 2 and shape != (n, n):
+        raise _ArgError(f"phases must be {n}x{n}, got {shape}")
+
+
 def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
     """Inverse of matrix_to_csv_text; returns the matrix and the exponent.
 
@@ -131,6 +139,7 @@ def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
     if not headers:
         raise _ArgError("missing '# N=..., k=..., m=..., e=...' header line")
     n, k, m, e = (int(g) for g in headers[-1].groups())
+    _check_cells(n, phases.shape)
     power_perm(_check_family_indices(n, k).largest_prime, e)  # refuses unless gcd(p - 1, e) = 1
     _check_in_range(n, m=m)
     phases.setflags(write=False)  # handed over without a copy
@@ -170,8 +179,6 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
         raise _ArgError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
     try:
         n, exponent, kind = _integer("n", obj["n"]), _integer("exponent", obj["exponent"]), obj["kind"]
-        f = factorize(n)
-        power_perm(f.largest_prime, exponent)  # refuses unless gcd(p - 1, e) = 1
         sizes = {name: _integer(name, obj[name]) for name in ("p0", "set_size", "flock_size", "length")}
         labels = [(_integer("k", rec["k"]), _integer("m", rec["m"])) for rec in obj["members"]]
         positions = [_integer("u", rec["u"]) for rec in obj["members"]]
@@ -180,6 +187,10 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
         raise _ArgError(f"family bundle lacks the key {exc}") from None
     except TypeError:
         raise _ArgError("family bundle members must be a list of objects") from None
+    if len(phases):
+        _check_cells(n, phases.shape[1:])
+    f = factorize(n)
+    power_perm(f.largest_prime, exponent)  # refuses unless gcd(p - 1, e) = 1
     if kind == "set" and len(labels) == 1:
         [(k, m)] = labels
         _check_family_indices(n, k)
@@ -307,6 +318,17 @@ def _print_or_json(args, human_lines: list[str], payload: dict) -> None:
             print(line)
 
 
+# One human line per report, formatted from its JSON record.
+_VERIFY_LINES = {
+    "ccc": "ccc k={k}: {status} max_deviation={max_deviation:.6g} tol={tol:.6g} "
+    "worst=(k={k}, m1={argmax[0]}, m2={argmax[1]}, tau={argmax[2]}) engine={engine}",
+    "interset": "interset k1={k1} k2={k2}: {status} max={max_magnitude:.6f} "
+    "dichotomy_deviation={dichotomy_deviation:.6g} engine={engine}",
+    "qcss": "delta_max={delta_max:.6f} {status} argmax=(u1={argmax[0]}, u2={argmax[1]}, tau={argmax[2]}) "
+    "expected={expected} tol={tol:.6g} engine={engine}",
+}
+
+
 def _cmd_verify(args) -> int:
     f = factorize(args.n)
     n, p0 = f.n, f.least_prime
@@ -318,111 +340,75 @@ def _cmd_verify(args) -> int:
     if corrupt:  # fail before building a family whose FFT scan cannot fit in memory
         correlation.check_scan_memory({"ccc": n, "interset": 2 * n}.get(args.scope, (p0 - 1) * n), n)
     perm, e = _make_perm(f, args.exponent)
-    lines: list[str] = []
     payload: dict = {"n": n, "p0": p0, "exponent": e, "scope": args.scope}
-    if args.scope != "permutation":
-        # Clean constructions go to the exact engine; a corrupted phase
-        # matrix is no longer built from (N, pi), so it needs the FFT engine.
-        payload["engine"] = "fft" if corrupt else "exact"
-    ok = True
+
+    if args.scope == "permutation":
+        report = verify_unique_solution(f, perm)
+        line = "unique-solution: ok (all tau,c)"
+        if not report.ok:
+            first = report.violations[0]
+            line = (
+                f"unique-solution: FAILED ({len(report.violations)} violations; "
+                f"first tau={first[0]} c={first[1]} count={first[2]})"
+            )
+        payload.update(ok=report.ok, violations=[list(v) for v in report.violations])
+        _print_or_json(args, [line], payload)
+        return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+
+    # Clean constructions go to the exact engine; a corrupted phase
+    # matrix is no longer built from (N, pi), so it needs the FFT engine.
+    payload["engine"] = "fft" if corrupt else "exact"
 
     def ccc_family(k: int) -> SequenceFamily:
         return _corrupt_member(build_ccc(k, perm), *corrupt)
 
-    if args.scope == "permutation":
-        report = verify_unique_solution(f, perm)
-        ok = report.ok
-        if ok:
-            lines.append("unique-solution: ok (all tau,c)")
+    if args.scope == "ccc":
+        if corrupt:
+            reports = (correlation.verify_ccc(ccc_family(k), tol=args.tol) for k in range(1, p0))
         else:
-            first = report.violations[0]
-            lines.append(
-                f"unique-solution: FAILED ({len(report.violations)} violations; "
-                f"first tau={first[0]} c={first[1]} count={first[2]})"
-            )
-        payload["ok"] = ok
-        payload["violations"] = [list(v) for v in report.violations]
-
-    elif args.scope == "ccc":
-        payload["families"] = []
-        for k in range(1, p0):
-            if corrupt:
-                report = correlation.verify_ccc(ccc_family(k), tol=args.tol)
-            else:
-                report = correlation.verify_ccc_exact(k, perm, tol=args.tol)
-            ok = ok and report.ok
-            m1, m2, tau = report.argmax
-            status = "ok" if report.ok else "FAILED"
-            lines.append(
-                f"ccc k={k}: {status} max_deviation={report.max_deviation:.6g} "
-                f"tol={report.tol:.6g} worst=(k={k}, m1={m1}, m2={m2}, tau={tau}) "
-                f"engine={report.engine}"
-            )
-            payload["families"].append(
-                {
-                    "k": k,
-                    "ok": report.ok,
-                    "max_deviation": report.max_deviation,
-                    "tol": report.tol,
-                    "argmax": [m1, m2, tau],
-                }
-            )
-        payload["ok"] = ok
-
+            reports = (correlation.verify_ccc_exact(k, perm, tol=args.tol) for k in range(1, p0))
+        records = payload["families"] = [
+            {"k": r.k, "ok": r.ok, "max_deviation": r.max_deviation, "tol": r.tol, "argmax": list(r.argmax)}
+            for r in reports
+        ]
     elif args.scope == "interset":
-        payload["pairs"] = []
         if corrupt:
             pairs = itertools.combinations(range(1, p0), 2)
-            reports = (correlation.verify_interset(ccc_family(k1), ccc_family(k2), tol=args.tol) for k1, k2 in pairs)
+            reports = (correlation.verify_interset(ccc_family(a), ccc_family(b), tol=args.tol) for a, b in pairs)
         else:
             reports = correlation.verify_intersets_exact(f, perm, tol=args.tol)
-        for report in reports:
-            k1, k2 = report.k1, report.k2
-            pair_ok = report.ok and report.dichotomy_ok
-            ok = ok and pair_ok
-            status = "ok" if pair_ok else "FAILED"
-            lines.append(
-                f"interset k1={k1} k2={k2}: {status} max={report.max_magnitude:.6f} "
-                f"dichotomy_deviation={report.dichotomy_deviation:.6g} engine={report.engine}"
-            )
-            payload["pairs"].append(
-                {
-                    "k1": k1,
-                    "k2": k2,
-                    "ok": pair_ok,
-                    "max_magnitude": report.max_magnitude,
-                    "dichotomy_deviation": report.dichotomy_deviation,
-                    "argmax": list(report.argmax),
-                }
-            )
-        payload["ok"] = ok
-
+        records = payload["pairs"] = [
+            {
+                "k1": r.k1,
+                "k2": r.k2,
+                "ok": r.ok and r.dichotomy_ok,
+                "max_magnitude": r.max_magnitude,
+                "dichotomy_deviation": r.dichotomy_deviation,
+                "argmax": list(r.argmax),
+            }
+            for r in reports
+        ]
     else:  # qcss
         tol = 1e-6 * n if args.tol is None else args.tol
         if corrupt:
-            family = _corrupt_member(build_qcss(f, perm), *corrupt)
-            report = correlation.delta_max_scan(family, tol=tol)
+            report = correlation.delta_max_scan(_corrupt_member(build_qcss(f, perm), *corrupt), tol=tol)
         else:
             report = correlation.delta_max_exact(f, perm, tol=tol)
-        ok = abs(report.delta_max - n) <= tol
-        u1, u2, tau = report.argmax
-        status = "ok" if ok else "FAILED"
-        lines.append(
-            f"delta_max={report.delta_max:.6f} {status} "
-            f"argmax=(u1={u1}, u2={u2}, tau={tau}) expected={n} tol={tol:.6g} "
-            f"engine={report.engine}"
-        )
-        payload.update(
+        records = [
             {
-                "ok": ok,
+                "ok": abs(report.delta_max - n) <= tol,
                 "delta_max": report.delta_max,
                 "expected": n,
                 "tol": tol,
-                "argmax": [u1, u2, tau],
+                "argmax": list(report.argmax),
                 "set_size": report.set_size,
             }
-        )
+        ]
+        payload.update(records[0])
 
+    payload["ok"] = ok = all(record["ok"] for record in records)
+    template, engine = _VERIFY_LINES[args.scope], payload["engine"]
+    lines = [template.format(**rec, status="ok" if rec["ok"] else "FAILED", engine=engine) for rec in records]
     _print_or_json(args, lines, payload)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

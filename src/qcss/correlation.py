@@ -28,13 +28,15 @@ calling thread and W - 1 threads started for each stage, none when W = 1.
 The row spectra are split by member; each tile's conjugated row block and
 its product with the columns by frequency; and the inverse FFT, the
 magnitudes and each part's maximum by tile row. These are the only threads
-the scan runs: while it runs, OpenBLAS (found in the library numpy loaded)
-is held at one thread, and its thread count is restored when the scan ends
-or raises. Any other thread that calls BLAS during a scan gets one BLAS
-thread too. Where no OpenBLAS is found, the same code runs without the pin.
-tally, the argmax search and the tile order stay on the calling thread, and
-every element is computed the same way whatever the split, so the results
-do not depend on W or on the BLAS thread count.
+the scan runs. Scans run one at a time: a scan started on another thread
+waits for the running one to end. While a scan runs, OpenBLAS (found in
+the library numpy loaded) is held at one thread, and its thread count is
+restored when the scan ends or raises. Any other thread that calls BLAS
+during a scan gets one BLAS thread too. Where no OpenBLAS is found, the
+same code runs without the pin. tally, the argmax search and the tile
+order stay on the calling thread, and every element is computed the same
+way whatever the split, so the results do not depend on W or on the BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -301,33 +303,23 @@ def _openblas():
     return None
 
 
-class _BlasPin(contextlib.ContextDecorator):
-    """Holds OpenBLAS at one thread while any scan runs. Scans that
-    overlap share the pin: the first to enter saves the thread count and
-    the last to leave restores it."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._scans = 0
-        self._saved = 0
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if not self._scans and (blas := _openblas()) is not None:
-                get, set_ = blas
-                self._saved = get()
-                set_(1)
-            self._scans += 1
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            self._scans -= 1
-            if not self._scans and (blas := _openblas()) is not None:
-                _, set_ = blas
-                set_(self._saved)
+_scan_lock = threading.Lock()
 
 
-_one_blas_thread = _BlasPin()
+@contextlib.contextmanager
+def _one_scan_at_a_time():
+    """Runs FFT scans one at a time, so that no two scans hold memory that
+    check_scan_memory approved for one; each scan already uses every CPU.
+    Inside the lock OpenBLAS is held at one thread, and its thread count is
+    restored when the scan ends or raises."""
+    with _scan_lock:
+        get, set_ = _openblas() or (lambda: None, lambda threads: None)
+        saved = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(saved)
 
 
 def _spectra(phases: np.ndarray, length: int) -> np.ndarray:
@@ -355,7 +347,7 @@ def _view(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-@_one_blas_thread
+@_one_scan_at_a_time()
 def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
     """The FFT scan core: the first maximum of |R| over a scan domain of
     (K, N, N) phase arrays.

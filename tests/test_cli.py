@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import random
 import subprocess
@@ -6,8 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcss import (
+    PhaseMatrix,
     Permutation,
     QcssError,
     build_ccc,
@@ -18,7 +23,7 @@ from qcss import (
     pi_perm,
     verify_unique_solution,
 )
-from qcss import cli
+from qcss import cli, codebook
 from qcss.cli import (
     EXIT_BAD_ARGS,
     EXIT_IO,
@@ -257,6 +262,34 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert json.loads(stdout)["engine"] == "fft"
 
+    @pytest.mark.parametrize(
+        "argv,line,argmax",
+        [
+            (
+                ("--n", "15", "--scope", "ccc", "--corrupt", "1,7,3,5"),
+                "ccc k=1: FAILED max_deviation=0.415823 tol=0.000225 worst=(k=1, m1=7, m2=4, tau=5) engine=fft",
+                [7, 4, 5],
+            ),
+            (
+                ("--n", "15", "--scope", "qcss", "--corrupt", "1,7,3,5"),
+                "delta_max=15.413607 FAILED argmax=(u1=17, u2=7, tau=1) expected=15 tol=1.5e-05 engine=fft",
+                [17, 7, 1],
+            ),
+            (
+                # max 9.674 <= N + tol, but 0.684 from N: fails on the dichotomy alone
+                ("--n", "9", "--scope", "interset", "--corrupt", "2,0,0,0", "--tol", "0.68"),
+                "interset k1=1 k2=2: FAILED max=9.674377 dichotomy_deviation=0.68404 engine=fft",
+                [2, 0, -3],
+            ),
+        ],
+    )
+    def test_failed_report(self, argv, line, argmax, capsys):
+        code, stdout, _ = run_cli("verify", *argv, capsys=capsys)
+        assert (code, stdout.splitlines()[0]) == (EXIT_VERIFY_FAILED, line)
+        code, stdout, _ = run_cli("verify", *argv, "--json", capsys=capsys)
+        payload = json.loads(stdout)
+        record = (payload.get("families") or payload.get("pairs") or [payload])[0]
+        assert (code, payload["ok"], record["ok"], record["argmax"]) == (EXIT_VERIFY_FAILED, False, False, argmax)
 
     @pytest.mark.parametrize("scope,members", [("ccc", 289), ("interset", 578), ("qcss", 4624)])
     def test_oversized_fft_scan_rejected(self, scope, members, monkeypatch, capsys):
@@ -463,6 +496,25 @@ class TestLoaders:
             with pytest.raises(QcssError):
                 matrix_from_csv_text("\n".join(broken))
 
+    def test_cells_refused_before_factorize(self, monkeypatch, tmp_path):
+        # 2^61 - 1 is prime: trial division of it would run for minutes.
+        huge = 2305843009213693951
+        obj = family_to_json_obj([PhaseMatrix(3, 1, 0, np.zeros((3, 3), dtype=int))], 3, 3, "set")
+        obj["n"] = huge
+
+        def refuse(*args):
+            raise AssertionError("factorize ran")
+
+        for module in (cli, codebook):
+            monkeypatch.setattr(module, "factorize", refuse)
+        monkeypatch.setattr(cli, "power_perm", refuse)
+        (tmp_path / "huge.csv").write_text(f"# N={huge}, k=1, m=0, e=7\n0,0\n0,0\n")
+        with pytest.raises(QcssError, match=f"phases must be {huge}x{huge}, got \\(2, 2\\)"):
+            load_matrix_csv(tmp_path / "huge.csv")
+        (tmp_path / "huge.json").write_text(json.dumps(obj))
+        with pytest.raises(QcssError, match=f"phases must be {huge}x{huge}, got \\(3, 3\\)"):
+            load_family_json(tmp_path / "huge.json")
+
 
 class TestBounds:
     def test_tight_bound_report(self, capsys):
@@ -512,6 +564,13 @@ class TestBounds:
         assert code == EXIT_BAD_ARGS
         assert stdout == ""
         assert stderr.count("\n") == 1 and message in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("k,m,n", [(10**400, 10**400, 10**400), (10**200, 1, 10**200), (10**400, 1, 2)])
+    def test_huge_parameters_rejected(self, k, m, n, capsys):
+        code, stdout, stderr = run_cli("bounds", "--k", str(k), "--m", str(m), "--n", str(n), capsys=capsys)
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert stderr.count("\n") == 1 and "overflows" in stderr and "Traceback" not in stderr
 
     def test_huge_finite_delta(self, capsys):
         code, stdout, _ = run_cli(
@@ -635,6 +694,51 @@ class TestParserBuiltOnce:
             assert code == EXIT_OK and stdout.startswith(f"K={size} ")
             members, _, loaded_kind = load_family_json(out)
             assert (loaded_kind, len(members)) == (kind, size)
+
+
+def exit_code(argv):
+    """main's exit code for argv, argparse's SystemExit included; its output is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestFuzz:
+    """Any bounds or verify argv ends in a documented exit code, never in an
+    exception out of main. The "--flag=value" form lets argparse read a
+    value such as -inf or -1 as a value, not as an option."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kmn=st.lists(st.integers(-2, 10**400), min_size=3, max_size=3), delta=st.none() | st.floats())
+    def test_bounds(self, kmn, delta):
+        argv = ["bounds", *(f"--{name}={value}" for name, value in zip("kmn", kmn))]
+        if delta is not None:
+            argv.append(f"--delta={delta!r}")
+        assert exit_code(argv) in (EXIT_OK, EXIT_BAD_ARGS)  # bounds verifies nothing
+
+    # n, tol and --corrupt lean towards values that get past the argument
+    # checks: a valid N half the time, a tol in [0, 1], and indices below 9.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([-1, 0, 1, 2, 3, 4]) | st.sampled_from([9, 15, 21, 25, 35]),
+        scope=st.sampled_from(["permutation", "ccc", "interset", "qcss"]),
+        exponent=st.none() | st.integers(-1, 12),
+        tol=st.none() | st.floats(0, 1) | st.floats(),
+        corrupt=st.none() | st.lists(st.integers(-1, 8) | st.integers(-1, 40), min_size=4, max_size=4),
+        as_json=st.booleans(),
+    )
+    def test_verify(self, n, scope, exponent, tol, corrupt, as_json):
+        argv = ["verify", f"--n={n}", f"--scope={scope}"]
+        argv += [] if exponent is None else [f"--exponent={exponent}"]
+        argv += [] if tol is None else [f"--tol={tol!r}"]
+        argv += [] if corrupt is None else [f"--corrupt={','.join(map(str, corrupt))}"]
+        argv += ["--json"] if as_json else []
+        code = exit_code(argv)
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_BAD_ARGS, EXIT_IO)
+        if corrupt is None:  # every clean construction meets the paper's claims
+            assert code != EXIT_VERIFY_FAILED
 
 
 class TestProcessInvocation:

@@ -221,13 +221,13 @@ def test_blas_threads_restored_when_tally_raises(blas_threads):
 
 
 @needs_openblas
-def test_overlapping_scans_restore_blas_threads(blas_threads):
-    # Scan a enters first and leaves first; scan b leaves last. Each scan
-    # saving and restoring the count on its own would leave b's saved 1.
+def test_scans_run_one_at_a_time(blas_threads):
+    # Scan b starts while scan a sits in its first tally, and a waits there
+    # for b's tally for a second: b must wait for a to end instead.
     get, set_ = blas_threads
     set_(2)
     phases = random_phases(5, 40, 3)
-    a_inside, b_inside, errors = threading.Event(), threading.Event(), []
+    a_inside, b_inside, overlapped, errors = threading.Event(), threading.Event(), [], []
 
     def scan(tally):
         try:
@@ -236,15 +236,14 @@ def test_overlapping_scans_restore_blas_threads(blas_threads):
             errors.append(exc)
 
     def tally_a(mags):
-        a_inside.set()
-        assert b_inside.wait(timeout=30)
-
-    a = threading.Thread(target=scan, args=(tally_a,))
+        if not a_inside.is_set():
+            a_inside.set()
+            overlapped.append(b_inside.wait(timeout=1))
 
     def tally_b(mags):
         b_inside.set()
-        a.join(timeout=30)
 
+    a = threading.Thread(target=scan, args=(tally_a,))
     b = threading.Thread(target=scan, args=(tally_b,))
     a.start()
     assert a_inside.wait(timeout=30)
@@ -253,6 +252,7 @@ def test_overlapping_scans_restore_blas_threads(blas_threads):
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert not errors
+    assert overlapped == [False] and b_inside.is_set()
     assert get() == 2
 
 
