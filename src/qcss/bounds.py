@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_HALF_UP
+from decimal import Context, Decimal, ROUND_HALF_UP, localcontext
 from typing import Literal
 
 from .errors import DegenerateParamsError, PreconditionViolatedError
@@ -76,7 +76,11 @@ def welch_bound(set_size: int, flock_size: int, length: int) -> float:
     denom = set_size * (2 * length - 1) - 1
     if denom <= 0:
         raise DegenerateParamsError("K(2N - 1) - 1 must be positive")
-    return _finite("Welch", lambda: flock_size * length * math.sqrt((set_size / flock_size - 1) / denom))
+    return _finite(
+        "Welch",
+        lambda: flock_size * length * math.sqrt((set_size / flock_size - 1) / denom),
+        lambda: Decimal(flock_size) * length**2 * (set_size - flock_size) / denom,
+    )
 
 
 def liu_bound(set_size: int, flock_size: int, length: int) -> float:
@@ -85,16 +89,20 @@ def liu_bound(set_size: int, flock_size: int, length: int) -> float:
     if failed:
         raise PreconditionViolatedError("violated: " + ", ".join(failed))
     return _finite(
-        "Liu", lambda: math.sqrt(flock_size * length * (1 - 2 * math.sqrt(flock_size / (3 * set_size))))
+        "Liu",
+        lambda: math.sqrt(flock_size * length * (1 - 2 * math.sqrt(flock_size / (3 * set_size)))),
+        lambda: Decimal(flock_size) * length * (1 - 2 * (Decimal(flock_size) / (3 * set_size)).sqrt()),
     )
 
 
-def _finite(name: str, formula) -> float:
-    """formula(); DegenerateParamsError where its float arithmetic overflows."""
+def _finite(name: str, formula, square) -> float:
+    """formula(), or where its float arithmetic overflows the square root of
+    square() in decimal; DegenerateParamsError where the bound is beyond floats."""
     try:
         value = formula()
     except OverflowError:
-        value = math.inf
+        with localcontext(_RHO_CONTEXT):
+            value = float(square().sqrt())
     if math.isinf(value):
         raise DegenerateParamsError(f"the {name} bound overflows a float for these K, M and N")
     return value

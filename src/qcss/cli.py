@@ -19,6 +19,7 @@ import json
 import re
 import sys
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -309,7 +310,7 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _print_or_json(args, human_lines: list[str], payload: dict) -> None:
+def _print_or_json(args, human_lines: Iterable[str], payload: dict) -> None:
     if getattr(args, "json", False):
         # One line: with an indent CPython's C encoder is skipped, about 4x slower.
         print(json.dumps(payload))
@@ -408,7 +409,8 @@ def _cmd_verify(args) -> int:
 
     payload["ok"] = ok = all(record["ok"] for record in records)
     template, engine = _VERIFY_LINES[args.scope], payload["engine"]
-    lines = [template.format(**rec, status="ok" if rec["ok"] else "FAILED", engine=engine) for rec in records]
+    # A generator: under --json no line is formatted.
+    lines = (template.format(**rec, status="ok" if rec["ok"] else "FAILED", engine=engine) for rec in records)
     _print_or_json(args, lines, payload)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

@@ -24,7 +24,8 @@ member, second member, shift) order. A family against itself computes
 half the pairs and reads the rest off R(u2, u1, tau) = conj R(u1, u2, -tau).
 
 A scan runs on W = min(CPUs this process may run on, 32) workers: the
-calling thread and W - 1 threads started for each stage, none when W = 1.
+calling thread and a concurrent.futures pool of W - 1 threads for each
+stage, none when W = 1.
 The row spectra are split by member; each tile's conjugated row block and
 its product with the columns by frequency; and the inverse FFT, the
 magnitudes and each part's maximum by tile row. These are the only threads
@@ -47,6 +48,7 @@ import functools
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,27 +257,13 @@ def _workers() -> int:
 def _split(size: int, fn) -> list:
     """fn(a, b) over [0, size) cut into one near-equal slice [a, b) per
     worker, the results in slice order once every slice is done. This
-    thread runs the first slice and one thread is started for each other
-    slice, none with one worker; an exception in any slice is raised here."""
+    thread runs the first slice and a thread pool the others, starting no
+    thread with one worker; an exception in any slice is raised here."""
     workers = _workers()
     cuts = sorted({size * i // workers for i in range(workers + 1)})  # no empty slice
-    results, errors = [None] * (len(cuts) - 1), []
-
-    def run(i: int) -> None:
-        try:
-            results[i] = fn(cuts[i], cuts[i + 1])
-        except BaseException as exc:  # raised again below, on this thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(results))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(max(1, len(cuts) - 2)) as pool:  # leaving it waits for every slice
+        futures = [pool.submit(fn, a, b) for a, b in zip(cuts[1:], cuts[2:])]
+        return [fn(cuts[0], cuts[1]), *(future.result() for future in futures)]
 
 
 @functools.cache

@@ -81,10 +81,20 @@ class TestWelchBound:
         with pytest.raises(DegenerateParamsError):
             welch_bound(0, 1, 1)
 
+    def test_intermediates_beyond_floats(self):
+        # K(2N - 1) - 1 is about 2e600, the bound sqrt(1/2) * 1e155.
+        assert welch_bound(10**300, 10**10, 10**300) == pytest.approx(math.sqrt(0.5) * 1e155, rel=1e-12)
+        with pytest.raises(DegenerateParamsError, match="overflows"):
+            welch_bound(10**311, 10**310, 10**310)  # about 6.7e309
+
 
 class TestLiuBound:
     def test_direct_evaluation(self):
         assert liu_bound(140, 35, 35) == pytest.approx(35 * math.sqrt(1 - 1 / math.sqrt(3)))
+
+    def test_intermediates_beyond_floats(self):
+        # M * N is 1e310; the bound is 1e155 to 145 digits.
+        assert liu_bound(10**300, 10**10, 10**300) == pytest.approx(1e155, rel=1e-12)
 
     def test_boundary_equality(self):
         # K = 3M with M = N gives sqrt(M*N/3) exactly.

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import io
 import json
 import random
@@ -291,6 +292,18 @@ class TestVerify:
         record = (payload.get("families") or payload.get("pairs") or [payload])[0]
         assert (code, payload["ok"], record["ok"], record["argmax"]) == (EXIT_VERIFY_FAILED, False, False, argmax)
 
+    def test_json_formats_no_human_line(self, monkeypatch, capsys):
+        argv = ("verify", "--n", "15", "--scope", "qcss", "--json")
+        want = run_cli(*argv, capsys=capsys)
+
+        class Unformattable(str):
+            def format(self, *args, **kwargs):
+                raise AssertionError("a human line was formatted under --json")
+
+        monkeypatch.setattr(cli, "_VERIFY_LINES", {k: Unformattable(v) for k, v in cli._VERIFY_LINES.items()})
+        assert run_cli(*argv, capsys=capsys) == want
+        assert want[0] == EXIT_OK
+
     @pytest.mark.parametrize("scope,members", [("ccc", 289), ("interset", 578), ("qcss", 4624)])
     def test_oversized_fft_scan_rejected(self, scope, members, monkeypatch, capsys):
         # N = 289: L = 600; the pool needs about 14 GB. Nothing is built:
@@ -567,7 +580,21 @@ class TestBounds:
 
     @pytest.mark.parametrize("k,m,n", [(10**400, 10**400, 10**400), (10**200, 1, 10**200), (10**400, 1, 2)])
     def test_huge_parameters_rejected(self, k, m, n, capsys):
-        code, stdout, stderr = run_cli("bounds", "--k", str(k), "--m", str(m), "--n", str(n), capsys=capsys)
+        # Intermediates overflow a float, but the Welch bound does not: 0, 7.07e99 and 1.1547.
+        with decimal.localcontext(decimal.Context(prec=60)):
+            want = float((decimal.Decimal(m) * n**2 * (k - m) / (k * (2 * n - 1) - 1)).sqrt())
+        argv = ("bounds", "--k", str(k), "--m", str(m), "--n", str(n))
+        code, stdout, stderr = run_cli(*argv, "--json", capsys=capsys)
+        assert (code, stderr) == (EXIT_OK, "")
+        welch = json.loads(stdout)["welch"]
+        assert welch == pytest.approx(want, rel=1e-12, abs=0)  # exact at 0
+        code, stdout, stderr = run_cli(*argv, capsys=capsys)
+        assert (code, stdout, stderr) == (EXIT_OK, f"welch={welch:.6f}\n", "")
+
+    def test_bound_beyond_floats_rejected(self, capsys):
+        # The Welch bound itself, about 6.7e309, is past the largest float.
+        argv = ("--k", str(10**311), "--m", str(10**310), "--n", str(10**310))
+        code, stdout, stderr = run_cli("bounds", *argv, capsys=capsys)
         assert code == EXIT_BAD_ARGS
         assert stdout == ""
         assert stderr.count("\n") == 1 and "overflows" in stderr and "Traceback" not in stderr

@@ -7,6 +7,7 @@ it, so full, partial and mirrored tiles all run.
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -289,6 +290,55 @@ def test_split_slices_and_raises(monkeypatch):
 
     with pytest.raises(ValueError, match="last slice"):
         correlation._split(7, last_fails)
+
+
+def test_split_runs_slices_at_once(monkeypatch):
+    # Each slice waits for the other: run one after the other, they time out.
+    monkeypatch.setattr(correlation, "_workers", lambda: 2)
+    barrier = threading.Barrier(2, timeout=5)
+    caller = threading.current_thread()
+
+    def meet(a, b):
+        barrier.wait()
+        return a, threading.current_thread() is caller
+
+    assert correlation._split(4, meet) == [(0, True), (2, False)]
+
+
+def test_split_raises_after_every_slice_ends(monkeypatch):
+    # The calling thread's slice raises while the other slice still runs.
+    monkeypatch.setattr(correlation, "_workers", lambda: 2)
+    threads_before = threading.active_count()
+    caller = threading.current_thread()
+    started, finished = threading.Event(), threading.Event()
+
+    def first_fails(a, b):
+        if a == 0:
+            assert threading.current_thread() is caller
+            assert started.wait(5)
+            raise ValueError("first slice")
+        started.set()
+        time.sleep(0.2)
+        finished.set()
+
+    with pytest.raises(ValueError, match="first slice"):
+        correlation._split(4, first_fails)
+    assert finished.is_set()
+    assert threading.active_count() == threads_before
+
+
+def test_split_starts_no_thread_with_one_worker(monkeypatch):
+    monkeypatch.setattr(correlation, "_workers", lambda: 1)
+    threads_before = threading.active_count()
+    seen = []
+
+    def record(a, b):
+        seen.append((a, b, threading.current_thread(), threading.active_count()))
+        return b
+
+    assert correlation._split(5, record) == [5]
+    assert seen == [(0, 5, threading.current_thread(), threads_before)]
+    assert threading.active_count() == threads_before
 
 
 def test_scan_memory_within_estimate(monkeypatch):
