@@ -68,7 +68,8 @@ class TableRow:
 
 
 def welch_bound(set_size: int, flock_size: int, length: int) -> float:
-    """M * N * sqrt((K/M - 1) / (K(2N - 1) - 1)) for a (K, M, N) pool."""
+    """sqrt(M * N^2 * (K - M) / (K(2N - 1) - 1)) for a (K, M, N) pool; the square
+    is evaluated in decimal, so K - M is exact and nothing overflows on the way."""
     if set_size < 1 or flock_size < 1 or length < 1:
         raise DegenerateParamsError("K, M and N must all be positive")
     if set_size < flock_size:
@@ -76,41 +77,13 @@ def welch_bound(set_size: int, flock_size: int, length: int) -> float:
     denom = set_size * (2 * length - 1) - 1
     if denom <= 0:
         raise DegenerateParamsError("K(2N - 1) - 1 must be positive")
-    return _finite(
-        "Welch",
-        lambda: flock_size * length * math.sqrt((set_size / flock_size - 1) / denom),
-        lambda: Decimal(flock_size) * length**2 * (set_size - flock_size) / denom,
-    )
+    with localcontext(_BOUND_CONTEXT):
+        return _root("Welch", Decimal(flock_size) * length**2 * (set_size - flock_size) / denom)
 
 
 def liu_bound(set_size: int, flock_size: int, length: int) -> float:
     """sqrt(M * N * (1 - 2 * sqrt(M / (3K)))); valid for K >= 3M, M >= 2, N >= 2."""
-    failed = _liu_violations(set_size, flock_size, length)
-    if failed:
-        raise PreconditionViolatedError("violated: " + ", ".join(failed))
-    return _finite(
-        "Liu",
-        lambda: math.sqrt(flock_size * length * (1 - 2 * math.sqrt(flock_size / (3 * set_size)))),
-        lambda: Decimal(flock_size) * length * (1 - 2 * (Decimal(flock_size) / (3 * set_size)).sqrt()),
-    )
-
-
-def _finite(name: str, formula, square) -> float:
-    """formula(), or where its float arithmetic overflows the square root of
-    square() in decimal; DegenerateParamsError where the bound is beyond floats."""
-    try:
-        value = formula()
-    except OverflowError:
-        with localcontext(_RHO_CONTEXT):
-            value = float(square().sqrt())
-    if math.isinf(value):
-        raise DegenerateParamsError(f"the {name} bound overflows a float for these K, M and N")
-    return value
-
-
-def _liu_violations(set_size: int, flock_size: int, length: int) -> list[str]:
-    """The Liu bound's preconditions that (K, M, N) violates, empty when it applies."""
-    return [
+    failed = [
         label
         for label, ok in (
             ("K >= 3M", set_size >= 3 * flock_size),
@@ -119,6 +92,25 @@ def _liu_violations(set_size: int, flock_size: int, length: int) -> list[str]:
         )
         if not ok
     ]
+    if failed:
+        raise PreconditionViolatedError("violated: " + ", ".join(failed))
+    with localcontext(_BOUND_CONTEXT):
+        ratio = Decimal(flock_size) / (3 * set_size)
+        return _root("Liu", Decimal(flock_size) * length * (1 - 2 * ratio.sqrt()))
+
+
+# Digits for a bound's square, twice a float's 17: its root then rounds to the
+# float of the exact bound unless that lies within about 1e-33 of a tie.
+_BOUND_CONTEXT = Context(prec=34)
+
+
+def _root(name: str, square: Decimal) -> float:
+    """The square root of a bound's square as a float, in the current context;
+    DegenerateParamsError where the bound is beyond floats."""
+    value = float(square.sqrt())
+    if math.isinf(value):
+        raise DegenerateParamsError(f"the {name} bound overflows a float for these K, M and N")
+    return value
 
 
 def optimality_factor(params: QcssParams) -> OptimalityReport:
@@ -130,7 +122,10 @@ def optimality_factor(params: QcssParams) -> OptimalityReport:
     """
     K, M, N = params.set_size, params.flock_size, params.length
     welch = welch_bound(K, M, N)
-    liu = None if _liu_violations(K, M, N) else liu_bound(K, M, N)
+    try:
+        liu = liu_bound(K, M, N)
+    except PreconditionViolatedError:
+        liu = None
     bound, used = (liu, "liu") if liu is not None else (welch, "welch")
     if bound <= 0:
         raise DegenerateParamsError("lower bound is zero; optimality factor undefined")

@@ -1,6 +1,9 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcss import (
     DegenerateParamsError,
@@ -67,6 +70,26 @@ PRIME_SQUARE_SWEEP_EXPECTED = [
 ]
 
 
+def reference_welch(K, M, N):
+    """The float of the Welch bound, its square evaluated to 60 digits."""
+    with localcontext(Context(prec=60)):
+        return float((Decimal(M) * N**2 * (K - M) / (K * (2 * N - 1) - 1)).sqrt())
+
+
+def reference_liu(K, M, N):
+    """The float of the Liu bound, its square evaluated to 60 digits."""
+    with localcontext(Context(prec=60)):
+        return float((Decimal(M) * N * (1 - 2 * (Decimal(M) / (3 * K)).sqrt())).sqrt())
+
+
+@st.composite
+def welch_params(draw):
+    """(K, M, N) up to 10^40 with K >= M; half the time K - M is at most 10."""
+    K = draw(st.integers(2, 10**40))
+    gap = draw(st.one_of(st.integers(0, 10), st.integers(0, K - 1)))
+    return K, K - min(gap, K - 1), draw(st.integers(1, 10**40))
+
+
 class TestWelchBound:
     def test_direct_evaluation(self):
         assert welch_bound(30, 15, 15) == pytest.approx(225 / math.sqrt(869))
@@ -74,6 +97,18 @@ class TestWelchBound:
 
     def test_equal_sizes_vanish(self):
         assert welch_bound(15, 15, 7) == 0.0
+
+    def test_close_sizes_do_not_cancel(self):
+        # K/M - 1 is 1e-20, below a float's resolution at 1.
+        assert welch_bound(10**20 + 1, 10**20, 5) == 1.6666666666666667
+
+    @settings(max_examples=200, deadline=None)
+    @given(welch_params())
+    def test_single_rounding(self, params):
+        K, M, N = params
+        welch = welch_bound(K, M, N)
+        assert welch == reference_welch(K, M, N)
+        assert welch > 0 or K == M
 
     def test_degenerate(self):
         with pytest.raises(DegenerateParamsError, match="K < M"):
@@ -134,6 +169,11 @@ class TestOptimalityFactor:
     )
     def test_known_factors(self, params, expected):
         assert format_rho(optimality_factor(QcssParams(*params)).rho) == expected
+
+    def test_close_sizes(self):
+        # The Welch bound 5/3 does not cancel to 0 (see TestWelchBound).
+        report = optimality_factor(QcssParams(10**20 + 1, 10**20, 5, 2.0))
+        assert (report.bound_used, report.rho, report.classification) == ("welch", 1.2, "near-optimal")
 
     def test_optimal_classification(self):
         bound = liu_bound(140, 35, 35)
@@ -221,6 +261,18 @@ class TestTableRows:
         assert table_rows("iii") == table_rows("optimal")
         assert table_rows("iv") == table_rows("near-optimal")
         assert table_rows("v") == table_rows("prime-square")
+
+    def test_bounds_single_rounding(self):
+        # Each of the 38 rows' bounds is the float nearest its exact value.
+        liu_rows = 0
+        for which in ("optimal", "near-optimal", "prime-square"):
+            for row in table_rows(which):
+                K, M, N = row.set_size, row.flock_size, row.length
+                assert welch_bound(K, M, N) == reference_welch(K, M, N)
+                if K >= 3 * M:
+                    assert liu_bound(K, M, N) == reference_liu(K, M, N)
+                    liu_rows += 1
+        assert liu_rows == 30
 
     def test_rounded_twos_stay_below_two(self):
         for row in table_rows("near-optimal"):

@@ -544,6 +544,12 @@ class TestBounds:
         assert code == EXIT_OK
         assert "rho=1.9653 (Welch) near-optimal" in stdout
 
+    def test_close_sizes_report(self, capsys):
+        # K/M - 1 cancels to 0 in floats; the Welch bound is 5/3.
+        argv = ("--k", str(10**20 + 1), "--m", str(10**20), "--n", "5", "--delta", "2")
+        code, stdout, stderr = run_cli("bounds", *argv, capsys=capsys)
+        assert (code, stdout, stderr) == (EXIT_OK, "welch=1.666667\nrho=1.2000 (Welch) near-optimal\n", "")
+
     def test_bounds_only_when_delta_missing(self, capsys):
         code, stdout, _ = run_cli("bounds", "--k", "140", "--m", "35", "--n", "35", capsys=capsys)
         assert code == EXIT_OK
