@@ -36,6 +36,7 @@ from .correlation import (
     rows_to_complex,
     set_xcorr,
     set_xcorr_profile,
+    verify,
     verify_ccc,
     verify_ccc_exact,
     verify_interset,
@@ -105,6 +106,7 @@ __all__ = [
     "verify_ccc_exact",
     "verify_intersets_exact",
     "delta_max_exact",
+    "verify",
     # bounds
     "QcssParams",
     "OptimalityReport",

@@ -5,9 +5,7 @@ checks), bounds (lower bounds and the optimality factor), tables (built-in
 parameter sweeps), profile (per-pair correlation magnitudes as CSV).
 
 Exit codes: 0 success, 1 verification failure, 2 argument error, 3 I/O
-failure. verify runs the exact engine on clean constructions and the FFT
-engine under --corrupt; an FFT scan that would not fit in physical memory
-exits 2 before it starts.
+failure. verify prints the reports of the engine dispatch correlation.verify.
 """
 
 from __future__ import annotations
@@ -33,10 +31,10 @@ from .bounds import (
     welch_bound,
     QcssParams,
 )
-from .codebook import PhaseMatrix, SequenceFamily, build_ccc, build_qcss, build_set
+from .codebook import PhaseMatrix, SequenceFamily, build_set
 from .codebook import _check_family_indices, _check_in_range
 from .errors import PreconditionViolatedError, QcssError
-from .modarith import Factorization, default_exponent, factorize, pi_perm, power_perm, verify_unique_solution
+from .modarith import default_exponent, factorize, pi_perm, power_perm, verify_unique_solution
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -232,24 +230,7 @@ def load_matrix_csv(path: str | Path) -> tuple[PhaseMatrix, int]:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
-
-
-def _make_perm(f: Factorization, exponent: int | None):
-    e = default_exponent(f.largest_prime) if exponent is None else exponent
-    return pi_perm(f, e), e
-
-
-def _corrupt_member(family: SequenceFamily, k: int, m: int, s: int, t: int) -> SequenceFamily:
-    """Test hook: add 1 (mod N) to entry (s, t) of member (k, m), in a copy
-    of the family's array; a family without that member comes back as is."""
-    for u, mat in enumerate(family):
-        if (mat.k, mat.m) == (k, m):
-            phases = family.phases.copy()
-            phases[u, s, t] = (phases[u, s, t] + 1) % family.n
-            phases.setflags(write=False)  # handed over without a second copy
-            return SequenceFamily(family.n, family.kind, phases, k=family.k)
-    return family
+# subcommands
 
 
 def _parse_corrupt(raw: str, n: int, p0: int) -> tuple[int, int, int, int]:
@@ -264,17 +245,18 @@ def _parse_corrupt(raw: str, n: int, p0: int) -> tuple[int, int, int, int]:
     return k, m, s, t
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
 def _cmd_generate(args) -> int:
     f = factorize(args.n)
-    perm, e = _make_perm(f, args.exponent)
     n, p0 = f.n, f.least_prime
-
     if args.m is not None and args.k is None:
         raise _ArgError("--m requires --k")
+    if args.k is not None:  # checked before the permutation table: 6.2 TiB at N = 3^25
+        _check_family_indices(n, args.k)
+    if args.m is not None:
+        _check_in_range(n, m=args.m)
+    e = default_exponent(f.largest_prime) if args.exponent is None else args.exponent
+    perm = pi_perm(f, e)
+
     if args.k is not None and args.m is not None:
         kind, labels = "set", [(args.k, args.m)]
     elif args.k is not None:
@@ -338,13 +320,11 @@ def _cmd_verify(args) -> int:
     corrupt = _parse_corrupt(args.corrupt, n, p0) if args.corrupt else None
     if corrupt and args.scope == "permutation":
         raise _ArgError("--corrupt needs a correlation scope: ccc, interset or qcss")
-    if corrupt:  # fail before building a family whose FFT scan cannot fit in memory
-        correlation.check_scan_memory({"ccc": n, "interset": 2 * n}.get(args.scope, (p0 - 1) * n), n)
-    perm, e = _make_perm(f, args.exponent)
+    e = default_exponent(f.largest_prime) if args.exponent is None else args.exponent
     payload: dict = {"n": n, "p0": p0, "exponent": e, "scope": args.scope}
 
     if args.scope == "permutation":
-        report = verify_unique_solution(f, perm)
+        report = verify_unique_solution(f, pi_perm(f, e))
         line = "unique-solution: ok (all tau,c)"
         if not report.ok:
             first = report.violations[0]
@@ -356,28 +336,14 @@ def _cmd_verify(args) -> int:
         _print_or_json(args, [line], payload)
         return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
-    # Clean constructions go to the exact engine; a corrupted phase
-    # matrix is no longer built from (N, pi), so it needs the FFT engine.
-    payload["engine"] = "fft" if corrupt else "exact"
-
-    def ccc_family(k: int) -> SequenceFamily:
-        return _corrupt_member(build_ccc(k, perm), *corrupt)
-
+    reports = correlation.verify(args.scope, f, e, tol=args.tol, corrupt=corrupt)
+    payload["engine"] = reports[0].engine
     if args.scope == "ccc":
-        if corrupt:
-            reports = (correlation.verify_ccc(ccc_family(k), tol=args.tol) for k in range(1, p0))
-        else:
-            reports = (correlation.verify_ccc_exact(k, perm, tol=args.tol) for k in range(1, p0))
         records = payload["families"] = [
             {"k": r.k, "ok": r.ok, "max_deviation": r.max_deviation, "tol": r.tol, "argmax": list(r.argmax)}
             for r in reports
         ]
     elif args.scope == "interset":
-        if corrupt:
-            pairs = itertools.combinations(range(1, p0), 2)
-            reports = (correlation.verify_interset(ccc_family(a), ccc_family(b), tol=args.tol) for a, b in pairs)
-        else:
-            reports = correlation.verify_intersets_exact(f, perm, tol=args.tol)
         records = payload["pairs"] = [
             {
                 "k1": r.k1,
@@ -390,17 +356,13 @@ def _cmd_verify(args) -> int:
             for r in reports
         ]
     else:  # qcss
-        tol = 1e-6 * n if args.tol is None else args.tol
-        if corrupt:
-            report = correlation.delta_max_scan(_corrupt_member(build_qcss(f, perm), *corrupt), tol=tol)
-        else:
-            report = correlation.delta_max_exact(f, perm, tol=tol)
+        [report] = reports
         records = [
             {
-                "ok": abs(report.delta_max - n) <= tol,
+                "ok": abs(report.delta_max - n) <= report.tol,
                 "delta_max": report.delta_max,
                 "expected": n,
-                "tol": tol,
+                "tol": report.tol,
                 "argmax": list(report.argmax),
                 "set_size": report.set_size,
             }
@@ -476,7 +438,9 @@ def _cmd_tables(args) -> int:
 
 def _cmd_profile(args) -> int:
     f = factorize(args.n)
-    perm, _ = _make_perm(f, args.exponent)
+    _check_family_indices(f.n, args.k1, args.k2)  # before the permutation table is built
+    _check_in_range(f.n, m1=args.m1, m2=args.m2)
+    perm = pi_perm(f, args.exponent)
     a = build_set(args.k1, args.m1, perm)
     b = build_set(args.k2, args.m2, perm)
     profile = correlation.set_xcorr_profile(a, b)

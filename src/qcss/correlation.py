@@ -11,7 +11,7 @@ over the flock index turns every flock-summed value into an integer
 identity, so it reads results off shift counts, one per ratio class of
 family pairs, instead of scanning spectra. The FFT scanners serve
 arbitrary phase matrices, and the tests hold the two engines equal on
-constructed families.
+constructed families. verify picks the engine for one scope.
 
 One FFT scan core (_scan) serves verify_ccc, verify_interset and
 delta_max_scan. It reads a family's (K, N, N) phase array a tile at a
@@ -45,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import os
 import threading
@@ -53,14 +54,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices
+from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices, build_ccc, build_qcss
 from .errors import (
     FamilyMismatchError,
     LengthMismatchError,
     QcssError,
     ShiftOutOfRangeError,
 )
-from .modarith import RATIO_CHUNK, Factorization, Permutation, _check_modulus, shift_extremes
+from .modarith import RATIO_CHUNK, Factorization, Permutation, _check_modulus, pi_perm, shift_extremes
 
 _ROOT_TABLES: dict[int, np.ndarray] = {}
 
@@ -643,3 +644,46 @@ def delta_max_exact(f: Factorization, perm: Permutation, tol: float | None = Non
             argmax = ((lo + i) * n, j * n, int(table[block[i, j], 1]))
             break
     return CorrelationReport(float(n * peak), argmax, n, families * n, tol, engine="exact")
+
+
+def _corrupt_member(family: SequenceFamily, k: int, m: int, s: int, t: int) -> SequenceFamily:
+    """Test hook: add 1 (mod N) to entry (s, t) of member (k, m), in a copy
+    of the family's array; a family without that member comes back as is."""
+    for u, mat in enumerate(family):
+        if (mat.k, mat.m) == (k, m):
+            phases = family.phases.copy()
+            phases[u, s, t] = (phases[u, s, t] + 1) % family.n
+            phases.setflags(write=False)  # handed over without a second copy
+            return SequenceFamily(family.n, family.kind, phases, k=family.k)
+    return family
+
+
+def verify(scope: str, f: Factorization, e: int, *, tol: float | None = None, corrupt=None) -> list:
+    """Reports of scope "ccc", "interset" or "qcss" (qcss tol 1e-6 * N by
+    default) in print order: the exact engine's on the construction from (N, e),
+    or, once corrupt = (k, m, s, t) adds 1 (mod N) to entry (s, t) of member
+    (k, m), the FFT engine's after a memory check that precedes every table.
+    Any other scope raises QcssError."""
+    if scope not in ("ccc", "interset", "qcss"):
+        raise QcssError(f"unknown verify scope {scope!r}: expected ccc, interset or qcss")
+    n, p0 = f.n, f.least_prime
+    tol = 1e-6 * n if scope == "qcss" and tol is None else tol
+    if corrupt:
+        check_scan_memory({"ccc": n, "interset": 2 * n}.get(scope, (p0 - 1) * n), n)
+    perm = pi_perm(f, e)
+    if not corrupt:
+        if scope == "ccc":
+            return [verify_ccc_exact(k, perm, tol=tol) for k in range(1, p0)]
+        if scope == "interset":
+            return verify_intersets_exact(f, perm, tol=tol)
+        return [delta_max_exact(f, perm, tol=tol)]
+    if scope == "qcss":
+        return [delta_max_scan(_corrupt_member(build_qcss(f, perm), *corrupt), tol=tol)]
+
+    def family(k: int) -> SequenceFamily:
+        return _corrupt_member(build_ccc(k, perm), *corrupt)
+
+    if scope == "ccc":
+        return [verify_ccc(family(k), tol=tol) for k in range(1, p0)]
+    pairs = itertools.combinations(range(1, p0), 2)
+    return [verify_interset(family(a), family(b), tol=tol) for a, b in pairs]

@@ -26,3 +26,7 @@ def test_every_public_binding_is_listed():
 
 def test_removed_names_are_gone():
     assert [name for name in REMOVED if hasattr(qcss, name) or name in qcss.__all__] == []
+
+
+def test_dispatch_exported():
+    assert "verify" in qcss.__all__ and qcss.verify is qcss.correlation.verify

@@ -157,7 +157,7 @@ class TestVerify:
         table = list(range(15))
         random.Random(1).shuffle(table)
         perm = Permutation(15, table)
-        monkeypatch.setattr(cli, "_make_perm", lambda f, e: (perm, 3))
+        monkeypatch.setattr(cli, "pi_perm", lambda f, e: perm)
         violations = verify_unique_solution(factorize(15), perm).violations
         assert violations
         code, stdout, _ = run_cli("verify", "--n", "15", "--scope", "permutation", "--json", capsys=capsys)
@@ -244,6 +244,7 @@ class TestVerify:
             raise MemoryError(message)
 
         monkeypatch.setattr(cli, "pi_perm", refuse)
+        monkeypatch.setattr(correlation, "pi_perm", refuse)
         extra = ["--scope", "qcss"] if command == "verify" else ["--out", str(tmp_path / "pool.json")]
         code, stdout, stderr = run_cli(command, "--n", "15", *extra, capsys=capsys)
         assert (code, stdout) == (EXIT_BAD_ARGS, "")
@@ -309,7 +310,7 @@ class TestVerify:
         # N = 289: L = 600; the pool needs about 14 GB. Nothing is built:
         # the memory check comes before the permutation.
         monkeypatch.setattr(correlation, "_physical_memory", lambda: 2**20)
-        monkeypatch.setattr(cli, "_make_perm", lambda *a: pytest.fail("built past the memory check"))
+        monkeypatch.setattr(correlation, "pi_perm", lambda *a: pytest.fail("built past the memory check"))
         code, stdout, stderr = run_cli(
             "verify", "--n", "289", "--scope", scope, "--corrupt", "1,0,0,0", capsys=capsys
         )
@@ -694,6 +695,43 @@ class TestProfile:
         assert code == EXIT_OK
         mags = read_profile(out)
         assert all(m <= 1e-4 for m in mags.values())
+
+
+class TestArgumentsBeforePermutation:
+    """generate and profile check their arguments before the permutation
+    table is built: at N = 3^25 that table alone needs 6.2 TiB, so a late
+    check would report running out of memory instead of the bad argument."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("generate", "--m", "0", "--out", "x.csv"), "--m requires --k"),
+            (("generate", "--k", "5", "--out", "x.csv"), "family index k=5 outside [1, 3)"),
+            (("generate", "--k", "1", "--m", "-1", "--out", "x.csv"), "m=-1 outside [0, 847288609443)"),
+            (
+                ("profile", "--k1", "5", "--m1", "0", "--k2", "1", "--m2", "0", "--out", "p.csv"),
+                "family index k=5 outside [1, 3)",
+            ),
+            (
+                ("profile", "--k1", "1", "--m1", "0", "--k2", "0", "--m2", "0", "--out", "p.csv"),
+                "family index k=0 outside [1, 3)",
+            ),
+            (
+                ("profile", "--k1", "1", "--m1", "0", "--k2", "2", "--m2", "847288609443", "--out", "p.csv"),
+                "m2=847288609443 outside [0, 847288609443)",
+            ),
+        ],
+    )
+    def test_bad_argument_named(self, argv, message, tmp_path, monkeypatch, capsys):
+        def refuse(f, e):
+            raise MemoryError("Unable to allocate 6.16 TiB")
+
+        monkeypatch.setattr(cli, "pi_perm", refuse)
+        monkeypatch.chdir(tmp_path)
+        command, *rest = argv
+        code, stdout, stderr = run_cli(command, "--n", "847288609443", *rest, capsys=capsys)
+        assert (code, stdout, stderr) == (EXIT_BAD_ARGS, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParserBuiltOnce:

@@ -18,7 +18,7 @@ from qcss import (
     phase,
     pi_perm,
 )
-from qcss import cli, codebook
+from qcss import codebook, correlation
 
 
 class TestPhase:
@@ -229,14 +229,14 @@ class TestFamilyArray:
     def test_corrupted_copy_leaves_source(self, perm15):
         family = build_qcss(factorize(15), perm15)
         before = family.phases.copy()
-        corrupted = cli._corrupt_member(family, 2, 7, 3, 5)  # member u = 15 + 7
+        corrupted = correlation._corrupt_member(family, 2, 7, 3, 5)  # member u = 15 + 7
         assert np.array_equal(family.phases, before)
         assert not np.shares_memory(corrupted.phases, family.phases)
         assert corrupted.phases[22, 3, 5] == (before[22, 3, 5] + 1) % 15
         assert np.count_nonzero(corrupted.phases != before) == 1
         assert corrupted[22].k == 2 and corrupted[22].m == 7
         other = build_ccc(1, perm15)
-        assert cli._corrupt_member(other, 2, 7, 3, 5) is other  # no member (2, 7)
+        assert correlation._corrupt_member(other, 2, 7, 3, 5) is other  # no member (2, 7)
 
     def test_pool_factorizes_once(self, monkeypatch, perm15):
         calls = []

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from qcss import (
     BadFamilyIndexError,
     Permutation,
+    QcssError,
+    SequenceFamily,
     ShapeMismatchError,
     build_ccc,
     build_qcss,
@@ -21,6 +23,7 @@ from qcss import (
     factorize,
     pi_perm,
     set_xcorr,
+    verify,
     verify_ccc,
     verify_ccc_exact,
     verify_interset,
@@ -259,6 +262,70 @@ def test_intersets_validated(perm15):
         verify_intersets_exact(factorize(35), perm15)
     reports = verify_intersets_exact(factorize(15), perm15, tol=0.25)
     assert [(r.k1, r.k2, r.tol) for r in reports] == [(1, 2, 0.25)]
+
+
+# ---------------------------------------------------------------------------
+# The dispatch: qcss.verify picks the engine for one scope
+
+
+@pytest.mark.parametrize("n", [*range(3, 46, 2), 63, 105])
+def test_dispatch_runs_exact_engine_on_constructions(n):
+    f = factorize(n)
+    p0, e = f.least_prime, default_exponent(f.largest_prime)
+    perm = pi_perm(f, e)
+    for tol in (None, 0.5):
+        ccc = verify("ccc", f, e, tol=tol)
+        assert ccc == [verify_ccc_exact(k, perm, tol=tol) for k in range(1, p0)]
+        interset = verify("interset", f, e, tol=tol)
+        assert interset == verify_intersets_exact(f, perm, tol=tol)
+        pool = verify("qcss", f, e, tol=tol)
+        assert pool == [delta_max_exact(f, perm, tol=1e-6 * n if tol is None else tol)]
+        assert {r.engine for r in ccc + interset + pool} == {"exact"}
+
+
+def edited(family, k, m, s, t):
+    """A copy of family with entry (s, t) of member (k, m), if it has one,
+    raised by 1 (mod N)."""
+    phases = family.phases.copy()
+    for u, mat in enumerate(family):
+        if (mat.k, mat.m) == (k, m):
+            phases[u, s, t] = (phases[u, s, t] + 1) % family.n
+    return SequenceFamily(family.n, family.kind, phases, k=family.k)
+
+
+@pytest.mark.parametrize("n", range(3, 26, 2))
+def test_dispatch_runs_fft_engine_on_corrupted_families(n):
+    f = factorize(n)
+    p0, e = f.least_prime, default_exponent(f.largest_prime)
+    perm = pi_perm(f, e)
+    rng = random.Random(n)
+    corrupt = (rng.randrange(1, p0), rng.randrange(n), rng.randrange(n), rng.randrange(n))
+    families = {k: edited(build_ccc(k, perm), *corrupt) for k in range(1, p0)}
+    ccc = verify("ccc", f, e, corrupt=corrupt)
+    assert ccc == [verify_ccc(families[k]) for k in range(1, p0)]
+    assert not all(r.ok for r in ccc)
+    interset = verify("interset", f, e, tol=0.25, corrupt=corrupt)
+    assert interset == [verify_interset(families[a], families[b], tol=0.25) for a, b in all_pairs(p0)]
+    pool = verify("qcss", f, e, corrupt=corrupt)
+    assert pool == [delta_max_scan(edited(build_qcss(f, perm), *corrupt), tol=1e-6 * n)]
+    assert {r.engine for r in ccc + interset + pool} == {"fft"}
+
+
+@pytest.mark.parametrize("scope", ["permutation", "CCC", ""])
+def test_dispatch_refuses_unknown_scope(scope):
+    with pytest.raises(QcssError, match="unknown verify scope"):
+        verify(scope, factorize(15), 3)
+
+
+@pytest.mark.parametrize("scope", ["ccc", "interset", "qcss"])
+def test_dispatch_checks_memory_before_building(scope, monkeypatch):
+    # N = 289: the corrupted pool's FFT scan needs about 15 GB. The memory
+    # check comes before the permutation and every family.
+    monkeypatch.setattr(correlation, "_physical_memory", lambda: 2**20)
+    for name in ("pi_perm", "build_ccc", "build_qcss"):
+        monkeypatch.setattr(correlation, name, lambda *a, name=name: pytest.fail(f"{name} ran before the check"))
+    with pytest.raises(QcssError, match="needs about"):
+        verify(scope, factorize(289), 3, corrupt=(1, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
