@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import re
 import sys
@@ -48,10 +47,6 @@ _CSV_HEADER = re.compile(r"#\s*N=(\d+),\s*k=(\d+),\s*m=(\d+),\s*e=(\d+)")
 _CSV_ROWS = dict(delimiter=",", dtype=np.int64, comments="#", ndmin=2)
 
 
-class _ArgError(QcssError):
-    """Command-line usage error outside argparse's own checks."""
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -77,13 +72,13 @@ def _phase_cells(cells: list) -> np.ndarray:
     except ValueError:  # ragged rows
         phases = np.array(None)
     if phases.size and phases.dtype.kind not in "iu":
-        raise _ArgError("member phases: ragged rows or a non-integer cell")
+        raise QcssError("member phases: ragged rows or a non-integer cell")
     if phases.ndim == 3:
         # np.array reads JSON true/false among integers as 1/0, so only the
         # cells that read 0 or 1 need their Python type looked at.
         where = zip(*(axis.tolist() for axis in np.nonzero((phases == 0) | (phases == 1))))
         if any(type(cells[u][r][c]) is bool for u, r, c in where):
-            raise _ArgError("member phases: a non-integer cell (true or false)")
+            raise QcssError("member phases: a non-integer cell (true or false)")
     phases.setflags(write=False)  # handed over to the members without a copy
     return phases
 
@@ -91,7 +86,7 @@ def _phase_cells(cells: list) -> np.ndarray:
 def _integer(name: str, value) -> int:
     """A JSON integer field; a float, a boolean or anything else raises QcssError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _ArgError(f"family bundle field {name!r} must be an integer, got {value!r}")
+        raise QcssError(f"family bundle field {name!r} must be an integer, got {value!r}")
     return value
 
 
@@ -115,7 +110,7 @@ def _check_cells(n: int, shape: tuple[int, ...]) -> None:
     division of a huge N runs for minutes, and its cells show at once that
     it is wrong. An even or too small N is left to factorize to name."""
     if n >= 3 and n % 2 and shape != (n, n):
-        raise _ArgError(f"phases must be {n}x{n}, got {shape}")
+        raise QcssError(f"phases must be {n}x{n}, got {shape}")
 
 
 def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
@@ -133,10 +128,10 @@ def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
         try:
             phases = np.loadtxt(lines, **_CSV_ROWS)
         except ValueError:
-            raise _ArgError(_first_bad_line(lines)) from None
+            raise QcssError(_first_bad_line(lines)) from None
     headers = [match for match in map(_CSV_HEADER.match, lines) if match]
     if not headers:
-        raise _ArgError("missing '# N=..., k=..., m=..., e=...' header line")
+        raise QcssError("missing '# N=..., k=..., m=..., e=...' header line")
     n, k, m, e = (int(g) for g in headers[-1].groups())
     _check_cells(n, phases.shape)
     power_perm(_check_family_indices(n, k).largest_prime, e)  # refuses unless gcd(p - 1, e) = 1
@@ -175,7 +170,7 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
     family."""
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != SCHEMA:
-        raise _ArgError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
+        raise QcssError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
     try:
         n, exponent, kind = _integer("n", obj["n"]), _integer("exponent", obj["exponent"]), obj["kind"]
         sizes = {name: _integer(name, obj[name]) for name in ("p0", "set_size", "flock_size", "length")}
@@ -183,9 +178,9 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
         positions = [_integer("u", rec["u"]) for rec in obj["members"]]
         phases = _phase_cells([rec["phases"] for rec in obj["members"]])
     except KeyError as exc:
-        raise _ArgError(f"family bundle lacks the key {exc}") from None
+        raise QcssError(f"family bundle lacks the key {exc}") from None
     except TypeError:
-        raise _ArgError("family bundle members must be a list of objects") from None
+        raise QcssError("family bundle members must be a list of objects") from None
     if len(phases):
         _check_cells(n, phases.shape[1:])
     f = factorize(n)
@@ -198,17 +193,17 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
     elif kind in ("ccc", "qcss"):
         family = SequenceFamily(n, kind, phases, k=labels[0][0] if kind == "ccc" and labels else None)
         if labels != [(mat.k, mat.m) for mat in family]:
-            raise _ArgError(f"members are not the (k, m) of a {kind} family in order")
+            raise QcssError(f"members are not the (k, m) of a {kind} family in order")
         members = list(family.members)
     else:
-        raise _ArgError(f"a {kind!r} bundle of {len(labels)} sets: expected one set, or a ccc or qcss family")
+        raise QcssError(f"a {kind!r} bundle of {len(labels)} sets: expected one set, or a ccc or qcss family")
     expected = {"p0": f.least_prime, "set_size": len(members), "flock_size": n, "length": n}
     for name, want in expected.items():
         if sizes[name] != want:
-            raise _ArgError(f"family bundle field {name!r} is {sizes[name]}, expected {want}")
+            raise QcssError(f"family bundle field {name!r} is {sizes[name]}, expected {want}")
     for u, at in enumerate(positions):
         if at != u:
-            raise _ArgError(f"member {u}: field 'u' is {at}, expected {u}")
+            raise QcssError(f"member {u}: field 'u' is {at}, expected {u}")
     return members, exponent, kind
 
 
@@ -218,7 +213,7 @@ def _read(path: str | Path, decode):
         try:
             return decode(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _ArgError(f"{path}: malformed file ({exc})") from None
+            raise QcssError(f"{path}: malformed file ({exc})") from None
 
 
 def load_family_json(path: str | Path) -> tuple[list[PhaseMatrix], int, str]:
@@ -233,15 +228,11 @@ def load_matrix_csv(path: str | Path) -> tuple[PhaseMatrix, int]:
 # subcommands
 
 
-def _parse_corrupt(raw: str, n: int, p0: int) -> tuple[int, int, int, int]:
+def _parse_corrupt(raw: str) -> tuple[int, int, int, int]:
     try:
         k, m, s, t = (int(x) for x in raw.split(","))
     except ValueError:
-        raise _ArgError("--corrupt expects four comma-separated integers k,m,s,t") from None
-    if not 1 <= k < p0 or not all(0 <= x < n for x in (m, s, t)):
-        raise _ArgError(
-            f"--corrupt {raw} out of range: need 1 <= k < {p0} and 0 <= m, s, t < {n}"
-        )
+        raise QcssError("--corrupt expects four comma-separated integers k,m,s,t") from None
     return k, m, s, t
 
 
@@ -249,7 +240,7 @@ def _cmd_generate(args) -> int:
     f = factorize(args.n)
     n, p0 = f.n, f.least_prime
     if args.m is not None and args.k is None:
-        raise _ArgError("--m requires --k")
+        raise QcssError("--m requires --k")
     if args.k is not None:  # checked before the permutation table: 6.2 TiB at N = 3^25
         _check_family_indices(n, args.k)
     if args.m is not None:
@@ -264,25 +255,23 @@ def _cmd_generate(args) -> int:
     else:
         kind, labels = "qcss", [(k, m) for k in range(1, p0) for m in range(n)]
     # Exports are written set by set, so the sets are built one at a time: a
-    # CSV export holds one N x N matrix, never a whole (K, N, N) family. The
-    # first set is built, and its indices checked, before anything is written.
+    # CSV export holds one N x N matrix, never a whole (K, N, N) family.
     sets = (build_set(k, m, perm) for k, m in labels)
-    first = next(sets)
 
     out = Path(args.out)
     if args.format == "json":
         out.parent.mkdir(parents=True, exist_ok=True)
         # One dumps call: json.dump would write the text in many small pieces.
-        out.write_text(json.dumps(family_to_json_obj([first, *sets], n, e, kind)), encoding="utf-8")
+        out.write_text(json.dumps(family_to_json_obj(list(sets), n, e, kind)), encoding="utf-8")
         written = [out]
     elif kind == "set":
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(matrix_to_csv_text(first, e), encoding="utf-8")
+        out.write_text(matrix_to_csv_text(next(sets), e), encoding="utf-8")
         written = [out]
     else:
         out.mkdir(parents=True, exist_ok=True)
         written = []
-        for mat in itertools.chain([first], sets):
+        for mat in sets:
             path = out / f"n{n}_k{mat.k}_m{mat.m}.csv"
             path.write_text(matrix_to_csv_text(mat, e), encoding="utf-8")
             written.append(path)
@@ -316,10 +305,10 @@ def _cmd_verify(args) -> int:
     f = factorize(args.n)
     n, p0 = f.n, f.least_prime
     if args.tol is not None and not 0 <= args.tol < float("inf"):
-        raise _ArgError(f"--tol must be finite and >= 0, got {args.tol}")
-    corrupt = _parse_corrupt(args.corrupt, n, p0) if args.corrupt else None
+        raise QcssError(f"--tol must be finite and >= 0, got {args.tol}")
+    corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
     if corrupt and args.scope == "permutation":
-        raise _ArgError("--corrupt needs a correlation scope: ccc, interset or qcss")
+        raise QcssError("--corrupt needs a correlation scope: ccc, interset or qcss")
     e = default_exponent(f.largest_prime) if args.exponent is None else args.exponent
     payload: dict = {"n": n, "p0": p0, "exponent": e, "scope": args.scope}
 
@@ -437,8 +426,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    f = factorize(args.n)
-    _check_family_indices(f.n, args.k1, args.k2)  # before the permutation table is built
+    f = _check_family_indices(args.n, args.k1, args.k2)  # before the permutation table is built
     _check_in_range(f.n, m1=args.m1, m2=args.m2)
     perm = pi_perm(f, args.exponent)
     a = build_set(args.k1, args.m1, perm)

@@ -47,6 +47,7 @@ import ctypes
 import functools
 import itertools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -58,6 +59,7 @@ from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices, build_
 from .errors import (
     FamilyMismatchError,
     LengthMismatchError,
+    OutOfRangeError,
     QcssError,
     ShiftOutOfRangeError,
 )
@@ -663,10 +665,18 @@ def verify(scope: str, f: Factorization, e: int, *, tol: float | None = None, co
     default) in print order: the exact engine's on the construction from (N, e),
     or, once corrupt = (k, m, s, t) adds 1 (mod N) to entry (s, t) of member
     (k, m), the FFT engine's after a memory check that precedes every table.
-    Any other scope raises QcssError."""
+    Any other scope, a tol not finite and >= 0, or a corrupt that names no
+    entry (integers 1 <= k < p0, 0 <= m, s, t < N) raises QcssError."""
     if scope not in ("ccc", "interset", "qcss"):
         raise QcssError(f"unknown verify scope {scope!r}: expected ccc, interset or qcss")
+    if tol is not None and not 0 <= tol < float("inf"):
+        raise QcssError(f"tol must be finite and >= 0, got {tol}")
     n, p0 = f.n, f.least_prime
+    if corrupt is not None and not (
+        len(corrupt) == 4 and all(isinstance(x, numbers.Integral) for x in corrupt)
+        and 1 <= corrupt[0] < p0 and all(0 <= x < n for x in corrupt[1:])
+    ):
+        raise OutOfRangeError(f"corrupt={corrupt!r} out of range: need 1 <= k < {p0} and 0 <= m, s, t < {n}")
     tol = 1e-6 * n if scope == "qcss" and tol is None else tol
     if corrupt:
         check_scan_memory({"ccc": n, "interset": 2 * n}.get(scope, (p0 - 1) * n), n)

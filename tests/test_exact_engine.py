@@ -328,6 +328,45 @@ def test_dispatch_checks_memory_before_building(scope, monkeypatch):
         verify(scope, factorize(289), 3, corrupt=(1, 0, 0, 0))
 
 
+def refuse_tables(monkeypatch):
+    for name in ("pi_perm", "build_ccc", "build_qcss"):
+        monkeypatch.setattr(correlation, name, lambda *a, name=name: pytest.fail(f"{name} ran before the check"))
+
+
+@pytest.mark.parametrize("scope", ["ccc", "interset", "qcss"])
+@pytest.mark.parametrize(
+    "corrupt", [(9, 0, 0, 0), (0, 0, 0, 0), (1, 15, 0, 0), (1, 0, -1, 0), (1, 0, 0), (1.5, 0, 0, 0)]
+)
+def test_dispatch_refuses_corrupt_out_of_range(scope, corrupt, monkeypatch):
+    # Each names no entry of the N = 15 families: (9, 0, 0, 0) used to scan
+    # the unedited pool, and (1, 0, -1, 0) to edit row 14.
+    refuse_tables(monkeypatch)
+    with pytest.raises(QcssError, match="out of range"):
+        verify(scope, factorize(15), 3, corrupt=corrupt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupt=st.tuples(*[st.integers(-2, 16)] * 4))
+def test_dispatch_corrupt_caught_or_refused(corrupt):
+    k, m, s, t = corrupt
+    if 1 <= k < 3 and all(0 <= x < 15 for x in (m, s, t)):
+        reports = verify("ccc", factorize(15), 3, corrupt=corrupt)
+        assert [r.ok for r in reports] == [k != 1, k != 2]  # criterion 9: one edited entry is caught
+    else:
+        with pytest.raises(QcssError, match="out of range"):
+            verify("ccc", factorize(15), 3, corrupt=corrupt)
+
+
+@pytest.mark.parametrize("scope", ["ccc", "interset", "qcss"])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-9])
+@pytest.mark.parametrize("corrupt", [None, (1, 7, 3, 5)])
+def test_dispatch_refuses_bad_tol(scope, tol, corrupt, monkeypatch):
+    # At tol = inf a corrupted family passed, and at nan or -1 every clean one failed.
+    refuse_tables(monkeypatch)
+    with pytest.raises(QcssError, match="tol must be finite and >= 0"):
+        verify(scope, factorize(15), 3, tol=tol, corrupt=corrupt)
+
+
 # ---------------------------------------------------------------------------
 # Budgets against the cubic cost coming back, wide enough for host noise. On
 # a 2-core host delta_max_exact at N = 1009 takes about 0.04 s (the pair loop
