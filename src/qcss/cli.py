@@ -63,24 +63,69 @@ def matrix_to_csv_text(mat: PhaseMatrix, exponent: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _phase_cells(cells: list) -> np.ndarray:
-    """The (K, N, N) phases of a bundle's members, from their decoded JSON
-    cells in one array; ragged rows or a non-integer or boolean cell raise
-    QcssError."""
+_RAGGED = "member phases: ragged rows or a non-integer cell"
+
+
+def _member_phases(cells) -> tuple[np.ndarray, bool]:
+    """One member's decoded JSON cells as an array, and whether one of them
+    is a JSON true or false; ragged rows raise QcssError. Integer cells in
+    [0, 2**32) come back in the smallest unsigned type that holds them. An
+    array is returned as it is."""
+    if isinstance(cells, np.ndarray):
+        return cells, False
     try:
         phases = np.array(cells)
     except ValueError:  # ragged rows
-        phases = np.array(None)
-    if phases.size and phases.dtype.kind not in "iu":
-        raise QcssError("member phases: ragged rows or a non-integer cell")
-    if phases.ndim == 3:
+        raise QcssError(_RAGGED) from None
+    boolean = False
+    if phases.ndim == 2 and phases.dtype.kind in "iub":
         # np.array reads JSON true/false among integers as 1/0, so only the
         # cells that read 0 or 1 need their Python type looked at.
         where = zip(*(axis.tolist() for axis in np.nonzero((phases == 0) | (phases == 1))))
-        if any(type(cells[u][r][c]) is bool for u, r, c in where):
-            raise QcssError("member phases: a non-integer cell (true or false)")
+        boolean = any(type(cells[r][c]) is bool for r, c in where)
+    if phases.dtype.kind in "iu" and phases.min(initial=0) >= 0 and phases.max(initial=0) < 2**32:
+        phases = phases.astype(np.min_scalar_type(phases.max(initial=0)))
+    return phases, boolean
+
+
+def _phase_cells(cells: list) -> np.ndarray:
+    """The (K, N, N) int64 phases of a bundle's members, from their decoded
+    JSON cells or _member_phases arrays. Ragged rows, members of different
+    shapes and a non-integer or boolean cell raise QcssError, with the
+    message that one np.array of every cell would give."""
+    members = [_member_phases(member) for member in cells]
+    arrays = [array for array, _ in members]
+    # Cell types promote as in that np.array, which reads the cells of a
+    # compact unsigned array as int64.
+    dtypes = {np.dtype(np.int64) if a.dtype.kind == "u" and a.itemsize < 8 else a.dtype for a in arrays}
+    if any(a.size for a in arrays) and not (
+        {dtype.kind for dtype in dtypes} <= set("iub") and np.result_type(*dtypes).kind in "iu"
+    ):
+        raise QcssError(_RAGGED)
+    try:
+        phases = np.array(arrays, dtype=np.int64)
+    except ValueError:  # members of different shapes
+        raise QcssError(_RAGGED) from None
+    if phases.ndim == 3 and any(boolean for _, boolean in members):
+        raise QcssError("member phases: a non-integer cell (true or false)")
     phases.setflags(write=False)  # handed over to the members without a copy
     return phases
+
+
+def _decode_object(pairs: list) -> dict:
+    """object_pairs_hook of load_family_json: a member's phases become an
+    array as soon as the member is decoded, so the bundle is never held as
+    nested lists. A member with a ragged row or a true or false cell keeps
+    its list, for _phase_cells to refuse."""
+    obj = dict(pairs)
+    if "phases" in obj:
+        try:
+            phases, boolean = _member_phases(obj["phases"])
+        except QcssError:
+            return obj
+        if not boolean:
+            obj["phases"] = phases
+    return obj
 
 
 def _integer(name: str, value) -> int:
@@ -152,11 +197,13 @@ def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
         "set_size": len(members),
         "flock_size": n,
         "length": n,
-        "members": [
-            {"u": u, "k": mat.k, "m": mat.m, "phases": mat.phases.tolist()}
-            for u, mat in enumerate(members)
-        ],
+        "members": [_member_record(u, mat) for u, mat in enumerate(members)],
     }
+
+
+def _member_record(u: int, mat: PhaseMatrix) -> dict:
+    """The bundle record of member u; generate streams one at a time."""
+    return {"u": u, "k": mat.k, "m": mat.m, "phases": mat.phases.tolist()}
 
 
 def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
@@ -217,7 +264,7 @@ def _read(path: str | Path, decode):
 
 
 def load_family_json(path: str | Path) -> tuple[list[PhaseMatrix], int, str]:
-    return family_from_json_obj(_read(path, json.load))
+    return family_from_json_obj(_read(path, lambda fh: json.load(fh, object_pairs_hook=_decode_object)))
 
 
 def load_matrix_csv(path: str | Path) -> tuple[PhaseMatrix, int]:
@@ -255,14 +302,21 @@ def _cmd_generate(args) -> int:
     else:
         kind, labels = "qcss", [(k, m) for k in range(1, p0) for m in range(n)]
     # Exports are written set by set, so the sets are built one at a time: a
-    # CSV export holds one N x N matrix, never a whole (K, N, N) family.
+    # CSV or JSON export holds one N x N matrix and its text, never a whole
+    # (K, N, N) family or its nested lists.
     sets = (build_set(k, m, perm) for k, m in labels)
 
     out = Path(args.out)
     if args.format == "json":
         out.parent.mkdir(parents=True, exist_ok=True)
-        # One dumps call: json.dump would write the text in many small pieces.
-        out.write_text(json.dumps(family_to_json_obj(list(sets), n, e, kind)), encoding="utf-8")
+        # The bytes of json.dumps(family_to_json_obj(all sets, ...)), one
+        # dumps call per member: json.dump would run the pure-Python encoder.
+        head = json.dumps(family_to_json_obj([], n, e, kind) | {"set_size": len(labels)})
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(head[: -len("]}")])
+            for u, mat in enumerate(sets):
+                fh.write((", " if u else "") + json.dumps(_member_record(u, mat)))
+            fh.write("]}")
         written = [out]
     elif kind == "set":
         out.parent.mkdir(parents=True, exist_ok=True)

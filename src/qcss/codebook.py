@@ -12,6 +12,7 @@ correlation engine.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
@@ -42,18 +43,24 @@ def _checked_phases(phases, shape: tuple[int, ...], n: int) -> np.ndarray:
     return phases
 
 
+def _is_index(value) -> bool:
+    """An integer that is not a bool: 1.5 or True would pass a range check
+    and label a set whose phases are those of another index."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_family_indices(n: int, *ks: int) -> Factorization:
-    """factorize(n), after checking that every family index k lies in [1, p0)."""
+    """factorize(n), after checking that every family index k is an integer in [1, p0)."""
     f = factorize(n)
     for k in ks:
-        if not 1 <= k < f.least_prime:
+        if not (_is_index(k) and 1 <= k < f.least_prime):
             raise BadFamilyIndexError(f"family index k={k} outside [1, {f.least_prime})")
     return f
 
 
 def _check_in_range(n: int, **values: int) -> None:
     for name, value in values.items():
-        if not 0 <= value < n:
+        if not (_is_index(value) and 0 <= value < n):
             raise OutOfRangeError(f"{name}={value} outside [0, {n})")
 
 

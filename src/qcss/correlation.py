@@ -47,7 +47,6 @@ import ctypes
 import functools
 import itertools
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices, build_ccc, build_qcss
+from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices, _is_index, build_ccc, build_qcss
 from .errors import (
     FamilyMismatchError,
     LengthMismatchError,
@@ -673,7 +672,7 @@ def verify(scope: str, f: Factorization, e: int, *, tol: float | None = None, co
         raise QcssError(f"tol must be finite and >= 0, got {tol}")
     n, p0 = f.n, f.least_prime
     if corrupt is not None and not (
-        len(corrupt) == 4 and all(isinstance(x, numbers.Integral) for x in corrupt)
+        len(corrupt) == 4 and all(map(_is_index, corrupt))
         and 1 <= corrupt[0] < p0 and all(0 <= x < n for x in corrupt[1:])
     ):
         raise OutOfRangeError(f"corrupt={corrupt!r} out of range: need 1 <= k < {p0} and 0 <= m, s, t < {n}")

@@ -108,6 +108,46 @@ class TestBuildCcc:
             build_ccc(5, perm35)
 
 
+class TestNonIntegerIndices:
+    """A float or a bool index used to pass the range check: build_set(1.5, 0,
+    perm) labelled its member k=1.5 with the phases of k = 1."""
+
+    BAD = [1.5, 1.0, True, np.float64(1.0), np.True_]
+
+    @pytest.mark.parametrize("k", BAD)
+    def test_build_set_family_index(self, k, perm15):
+        with pytest.raises(BadFamilyIndexError, match="family index k="):
+            build_set(k, 0, perm15)
+
+    @pytest.mark.parametrize("m", BAD)
+    def test_build_set_set_index(self, m, perm15):
+        with pytest.raises(OutOfRangeError, match="m="):
+            build_set(1, m, perm15)
+
+    @pytest.mark.parametrize("k", BAD)
+    def test_build_ccc(self, k, perm15):
+        with pytest.raises(BadFamilyIndexError):
+            build_ccc(k, perm15)
+
+    @pytest.mark.parametrize("k", BAD)
+    def test_verify_ccc_exact(self, k, perm15):
+        with pytest.raises(BadFamilyIndexError):
+            correlation.verify_ccc_exact(k, perm15)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("bad", BAD)
+    def test_phase(self, index, bad, perm15):
+        args = [1, 2, 3, 4]
+        args[index] = bad
+        with pytest.raises(BadFamilyIndexError if index == 0 else OutOfRangeError):
+            phase(*args, perm15)
+
+    def test_numpy_integers_accepted(self, perm15):
+        mat = build_set(np.int64(1), np.int32(4), perm15)
+        assert mat == build_set(1, 4, perm15)
+        assert phase(np.int8(1), 0, np.uint16(1), 2, perm15) == phase(1, 0, 1, 2, perm15)
+
+
 class TestBuildQcss:
     @pytest.mark.parametrize("n,size", [(15, 30), (35, 140), (121, 1210)])
     def test_member_counts(self, n, size):

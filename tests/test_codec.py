@@ -2,12 +2,16 @@
 
 The writers must produce the same bytes as the plain per-cell formula,
 both round trips must be lossless, and the CSV reader must keep accepting
-the loose layouts it always accepted and refusing malformed cells.
+the loose layouts it always accepted and refusing malformed cells. The
+JSON export and import hold one member at a time, not the whole bundle.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcss import QcssError, factorize
-from qcss.cli import family_from_json_obj, family_to_json_obj, matrix_from_csv_text, matrix_to_csv_text
+from qcss import OutOfRangeError, QcssError, build_ccc, build_qcss, build_set, factorize, pi_perm
+from qcss.cli import (
+    family_from_json_obj,
+    family_to_json_obj,
+    load_family_json,
+    main,
+    matrix_from_csv_text,
+    matrix_to_csv_text,
+)
 from qcss.codebook import PhaseMatrix
+from qcss.modarith import default_exponent
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -151,3 +163,206 @@ def test_reader_takes_the_last_header():
     text = "\n".join(["# N=15, k=2, m=9, e=7", *rows[:5], header, *rows[5:]])
     back, e = matrix_from_csv_text(text)
     assert back == mat and e == 3
+
+
+def generate_json(path, n, *selection):
+    """qcss generate --format json of N's pool, or of the --k/--m selection."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--n", str(n), "--format", "json", "--out", str(path), *selection]) == 0
+
+
+@pytest.mark.parametrize("n", [15, 35])
+@pytest.mark.parametrize("kind", ["qcss", "ccc", "set"])
+def test_generated_json_is_one_dumps_of_the_bundle(kind, n, tmp_path):
+    """The streamed export writes the bytes of one json.dumps of the whole bundle."""
+    f = factorize(n)
+    e = default_exponent(f.largest_prime)
+    perm = pi_perm(f, e)
+    k = f.least_prime - 1
+    members, selection = {
+        "qcss": (list(build_qcss(f, perm)), []),
+        "ccc": (list(build_ccc(k, perm)), ["--k", str(k)]),
+        "set": ([build_set(k, n - 1, perm)], ["--k", str(k), "--m", str(n - 1)]),
+    }[kind]
+    generate_json(tmp_path / "out.json", n, *selection)
+    want = json.dumps(family_to_json_obj(members, n, e, kind)).encode()
+    assert (tmp_path / "out.json").read_bytes() == want
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def pool105(tmp_path_factory):
+    """The N = 105 pool's JSON bundle: 210 sets, 8.7 MiB."""
+    path = tmp_path_factory.mktemp("pool") / "pool105.json"
+    generate_json(path, 105)
+    return path
+
+
+def test_json_export_holds_one_member(pool105, tmp_path):
+    """Whole-bundle nested lists peaked at 37 MiB: over four times the file."""
+    path = tmp_path / "again.json"
+    peak = traced_peak(lambda: generate_json(path, 105))
+    assert path.read_bytes() == pool105.read_bytes()
+    assert peak < path.stat().st_size / 4
+
+
+def test_json_import_holds_compact_members(pool105):
+    """Nested lists of every member's cells peaked at 42.4 MiB, over the
+    26.4 MiB of the (210, 105, 105) int64 array plus the file."""
+    members = 105 * (factorize(105).least_prime - 1)
+    peak = traced_peak(lambda: load_family_json(pool105))
+    assert peak < members * 105 * 105 * 8 + pool105.stat().st_size
+
+
+def bundle_text(edit):
+    """A ccc bundle at N = 15 as JSON text, after edit(obj)."""
+    perm = pi_perm(factorize(15), 3)
+    obj = family_to_json_obj(list(build_ccc(1, perm)), 15, 3, "ccc")
+    edit(obj)
+    return json.dumps(obj)
+
+
+def both_decoders(text, tmp_path):
+    """The refusal of load_family_json and of family_from_json_obj on
+    json.loads output, for one bundle text: (class, message) of each."""
+    (tmp_path / "bundle.json").write_text(text)
+    refusals = []
+    for decode in (lambda: load_family_json(tmp_path / "bundle.json"), lambda: family_from_json_obj(json.loads(text))):
+        with pytest.raises(QcssError) as caught:
+            decode()
+        refusals.append((type(caught.value), str(caught.value)))
+    return refusals
+
+
+def set_cell(u, r, c, value):
+    def edit(obj):
+        obj["members"][u]["phases"][r][c] = value
+
+    return edit
+
+
+RAGGED = (QcssError, "member phases: ragged rows or a non-integer cell")
+BOOLEAN = (QcssError, "member phases: a non-integer cell (true or false)")
+OUT_OF_RANGE = (OutOfRangeError, "phase entries must lie in [0, N)")
+
+
+@pytest.mark.parametrize(
+    "value,refusal",
+    [
+        (True, BOOLEAN),
+        (False, BOOLEAN),
+        (1.5, RAGGED),
+        (2.0, RAGGED),
+        (-1, OUT_OF_RANGE),
+        (15, OUT_OF_RANGE),
+        (2**32, OUT_OF_RANGE),
+        (2**63 - 1, OUT_OF_RANGE),
+        (2**63, RAGGED),  # uint64 among int64 cells: numpy promotes to float64
+        (2**64, RAGGED),
+    ],
+)
+@pytest.mark.parametrize("where", [(0, 0, 0), (0, 4, 2), (14, 14, 14)])
+def test_bad_cell_refusal(value, refusal, where, tmp_path):
+    """The same class and message as when the whole bundle was one np.array."""
+    assert both_decoders(bundle_text(set_cell(*where, value)), tmp_path) == [refusal] * 2
+
+
+def test_bad_schema_named_before_a_bad_cell(tmp_path):
+    def edit(obj):
+        set_cell(3, 1, 0, True)(obj)
+        obj["schema"] = "qcss/0"
+
+    refusal = (QcssError, "unsupported schema 'qcss/0', expected 'qcss/1'")
+    assert both_decoders(bundle_text(edit), tmp_path) == [refusal] * 2
+
+
+@pytest.mark.parametrize(
+    "shape_edit",
+    [
+        lambda phases: phases.pop(),  # 14 x 15
+        lambda phases: [row.pop() for row in phases],  # 15 x 14
+        lambda phases: phases.append(phases[0]),  # 16 x 15
+    ],
+)
+@pytest.mark.parametrize("u", [0, 7])
+def test_members_of_different_shapes(shape_edit, u, tmp_path):
+    assert both_decoders(bundle_text(lambda obj: shape_edit(obj["members"][u]["phases"])), tmp_path) == [RAGGED] * 2
+
+
+def one_array_refusal(cells):
+    """The reference: the refusal that one np.array of every member's cells
+    gives, as the whole-bundle decode did before members were decoded one
+    at a time; None when the cells pass."""
+    try:
+        phases = np.array(cells)
+    except ValueError:
+        return RAGGED
+    if phases.size and phases.dtype.kind not in "iu":
+        return RAGGED
+    if phases.ndim == 3:
+        where = zip(*np.nonzero((phases == 0) | (phases == 1)))
+        if any(type(cells[u][r][c]) is bool for u, r, c in where):
+            return BOOLEAN
+    return None
+
+
+CELL_VALUES = [True, False, 1.5, -1, 0, 8, 2**32, 2**63, 2**64, "3", None]
+MEMBER_PHASES = [[], 5, [[True] * 9] * 9, [[2**63] * 9] * 9, [[0] * 3] * 3, [[1.0] * 9] * 9]
+
+
+@st.composite
+def edited_bundle(draw):
+    """A set or ccc bundle at N = 9 with one to three edits of its members' phases."""
+    perm = pi_perm(factorize(9), 5)
+    kind = draw(st.sampled_from(["set", "ccc"]))
+    members = [build_set(2, 3, perm)] if kind == "set" else list(build_ccc(1, perm))
+    obj = json.loads(json.dumps(family_to_json_obj(members, 9, 5, kind)))
+    for _ in range(draw(st.integers(1, 3))):
+        record = obj["members"][draw(st.integers(0, len(members) - 1))]
+        phases = record["phases"]
+        edit = draw(st.sampled_from(["cell", "row", "column", "member"]))
+        if edit == "member":
+            record["phases"] = json.loads(json.dumps(draw(st.sampled_from(MEMBER_PHASES))))  # a fresh copy
+        elif not isinstance(phases, list) or not phases or not isinstance(phases[0], list) or not phases[0]:
+            continue
+        elif edit == "cell":
+            phases[draw(st.integers(0, len(phases) - 1))][0] = draw(st.sampled_from(CELL_VALUES))
+        elif edit == "row":
+            phases.pop()
+        else:
+            phases[draw(st.integers(0, len(phases) - 1))].pop()
+    return obj
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bundles")
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=edited_bundle())
+def test_member_decode_refuses_as_one_array(obj, scratch_dir):
+    """Both decoders refuse an edited bundle with the class and message of
+    the one-array reference, whatever the edits and their members."""
+    text = json.dumps(obj)
+    outcomes = []
+    (scratch_dir / "edited.json").write_text(text)
+    for decode in (lambda: load_family_json(scratch_dir / "edited.json"), lambda: family_from_json_obj(json.loads(text))):
+        try:
+            outcomes.append(decode())
+        except QcssError as exc:
+            outcomes.append((type(exc), str(exc)))
+    want = one_array_refusal([record["phases"] for record in obj["members"]])
+    if want is not None:
+        assert outcomes == [want] * 2
+    else:
+        assert outcomes[0] == outcomes[1]

@@ -335,7 +335,7 @@ def refuse_tables(monkeypatch):
 
 @pytest.mark.parametrize("scope", ["ccc", "interset", "qcss"])
 @pytest.mark.parametrize(
-    "corrupt", [(9, 0, 0, 0), (0, 0, 0, 0), (1, 15, 0, 0), (1, 0, -1, 0), (1, 0, 0), (1.5, 0, 0, 0)]
+    "corrupt", [(9, 0, 0, 0), (0, 0, 0, 0), (1, 15, 0, 0), (1, 0, -1, 0), (1, 0, 0), (1.5, 0, 0, 0), (True, 0, 0, 0)]
 )
 def test_dispatch_refuses_corrupt_out_of_range(scope, corrupt, monkeypatch):
     # Each names no entry of the N = 15 families: (9, 0, 0, 0) used to scan
