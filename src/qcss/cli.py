@@ -89,10 +89,11 @@ def _member_phases(cells) -> tuple[np.ndarray, bool]:
 
 
 def _phase_cells(cells: list) -> np.ndarray:
-    """The (K, N, N) int64 phases of a bundle's members, from their decoded
-    JSON cells or _member_phases arrays. Ragged rows, members of different
-    shapes and a non-integer or boolean cell raise QcssError, with the
-    message that one np.array of every cell would give."""
+    """The (K, N, N) phases of a bundle's members, from their decoded JSON
+    cells or _member_phases arrays, stacked in the members' common type.
+    Ragged rows, members of different shapes and a non-integer or boolean
+    cell raise QcssError, with the message that one np.array of every cell
+    would give."""
     members = [_member_phases(member) for member in cells]
     arrays = [array for array, _ in members]
     # Cell types promote as in that np.array, which reads the cells of a
@@ -103,7 +104,7 @@ def _phase_cells(cells: list) -> np.ndarray:
     ):
         raise QcssError(_RAGGED)
     try:
-        phases = np.array(arrays, dtype=np.int64)
+        phases = np.array(arrays, dtype=np.result_type(np.uint8, *(a.dtype for a in arrays if a.size)))
     except ValueError:  # members of different shapes
         raise QcssError(_RAGGED) from None
     if phases.ndim == 3 and any(boolean for _, boolean in members):
@@ -181,7 +182,6 @@ def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
     _check_cells(n, phases.shape)
     power_perm(_check_family_indices(n, k).largest_prime, e)  # refuses unless gcd(p - 1, e) = 1
     _check_in_range(n, m=m)
-    phases.setflags(write=False)  # handed over without a copy
     return PhaseMatrix(n, k, m, phases), e
 
 

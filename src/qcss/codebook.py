@@ -4,10 +4,12 @@ A single complementary set is an N x N table of integer phases mod N with
 entry k*s*pi(t) + m*t (mod N) at row s, column t. Collecting m = 0..N-1
 for one family index k gives a complete complementary code; pooling all
 k = 1..p0-1 gives the combined quasi-complementary set. A family holds its
-K sets as one read-only (K, N, N) int64 array, built by one broadcast of
-that formula, and serves each member as a PhaseMatrix view of it. Phases
-stay exact integers here; complex values are materialized only by the
-correlation engine.
+K sets as one read-only (K, N, N) array, built from that formula a few
+sets at a time, and serves each member as a PhaseMatrix view of it.
+Phases are residues in Z_N, stored in the smallest unsigned type that
+holds N - 1 (np.min_scalar_type(N - 1): uint8 up to N = 255, uint16 up to
+65535); the type depends on N alone. Phases stay exact integers here;
+complex values are materialized only by the correlation engine.
 """
 
 from __future__ import annotations
@@ -24,23 +26,34 @@ from .modarith import Factorization, Permutation, _check_modulus, factorize
 FamilyKind = Literal["ccc", "qcss"]
 
 
+def _phase_dtype(n: int) -> np.dtype:
+    """The dtype of every phase array over modulus n: the smallest unsigned
+    type that holds n - 1. It depends on n alone, never on the values."""
+    return np.min_scalar_type(n - 1)
+
+
 def _checked_phases(phases, shape: tuple[int, ...], n: int) -> np.ndarray:
-    """phases as read-only C-contiguous int64 of the given shape, entries in [0, n).
+    """phases as a read-only C-contiguous array of the given shape and dtype
+    _phase_dtype(n), entries in [0, n). Entries that are not integers
+    (float, bool, str or object arrays) raise OutOfRangeError: casting
+    would truncate or parse them.
 
     A writeable array is copied, so its owner may go on writing to it. A
-    read-only one is taken as it is: that is how _broadcast and the loaders
-    hand over an array nothing else writes to, without a second copy.
+    read-only one already in that dtype is taken as it is: that is how
+    _broadcast and the loaders hand over an array nothing else writes to,
+    without a second copy.
     """
     array = np.asarray(phases)
-    if array is phases and array.flags.writeable:
-        array = array.astype(np.int64, order="C")
-    phases = np.ascontiguousarray(array, dtype=np.int64)
-    if phases.shape != shape:
-        raise ShapeMismatchError(f"phases must be {'x'.join(map(str, shape))}, got {phases.shape}")
-    if phases.size and (phases.min() < 0 or phases.max() >= n):
+    if array.shape != shape:
+        raise ShapeMismatchError(f"phases must be {'x'.join(map(str, shape))}, got {array.shape}")
+    if array.dtype.kind not in "iu":
+        raise OutOfRangeError(f"phase entries must be integers, got dtype {array.dtype}")
+    if array.size and (array.min() < 0 or array.max() >= n):
         raise OutOfRangeError("phase entries must lie in [0, N)")
-    phases.setflags(write=False)
-    return phases
+    copy = array is phases and array.flags.writeable
+    array = array.astype(_phase_dtype(n), order="C", copy=copy)
+    array.setflags(write=False)
+    return array
 
 
 def _is_index(value) -> bool:
@@ -66,8 +79,9 @@ def _check_in_range(n: int, **values: int) -> None:
 
 @dataclass(eq=False)
 class PhaseMatrix:
-    """One complementary set: N x N integer phases mod N, read-only. A
-    writeable array passed in is copied; the caller's stays writeable."""
+    """One complementary set: N x N integer phases mod N, read-only, of
+    dtype np.min_scalar_type(N - 1). A writeable array passed in is copied;
+    the caller's stays writeable."""
 
     n: int
     k: int
@@ -97,7 +111,8 @@ class PhaseMatrix:
 
 @dataclass(eq=False)
 class SequenceFamily:
-    """K phase matrices held as one read-only (K, N, N) int64 array.
+    """K phase matrices held as one read-only (K, N, N) array of dtype
+    np.min_scalar_type(N - 1).
 
     kind "ccc":  the N sets sharing one family index k; member u is (k, u).
     kind "qcss": all N*(p0-1) sets; member u is (u // N + 1, u % N), so
@@ -148,16 +163,28 @@ class SequenceFamily:
         )
 
 
+# Entries of the int64 buffer _broadcast computes in one step: 8 MiB,
+# whatever the size of the family.
+_STEP_ENTRIES = 1 << 20
+
+
 def _broadcast(perm: Permutation, ks: Sequence[int], ms: Sequence[int]) -> np.ndarray:
     """(len(ks) * len(ms), N, N) phases k*s*pi(t) + m*t (mod N), k-major:
-    the set (ks[i], ms[j]) sits at i * len(ms) + j."""
+    the set (ks[i], ms[j]) sits at i * len(ms) + j. The sets are computed
+    in int64 a few at a time, at most _STEP_ENTRIES entries per step, and
+    written into the compact array, so no (K, N, N) int64 array is allocated."""
     n = perm.modulus
-    k = np.asarray(ks, dtype=np.int64)[:, None, None, None]
-    m = np.asarray(ms, dtype=np.int64)[None, :, None, None]
-    s = np.arange(n, dtype=np.int64)[:, None]
+    m = np.asarray(ms, dtype=np.int64)[:, None, None]
     t = np.arange(n, dtype=np.int64)
-    phases = k * s * perm.table + m * t
-    phases = np.remainder(phases, n, out=phases).reshape(-1, n, n)
+    s = t[:, None]
+    phases = np.empty((len(ks) * len(m), n, n), dtype=_phase_dtype(n))
+    grid = phases.reshape(len(ks), len(m), n, n)
+    step = max(1, _STEP_ENTRIES // (n * n))
+    for i, k in enumerate(np.asarray(ks, dtype=np.int64)):
+        row = k * s * perm.table
+        for j in range(0, len(m), step):
+            block = row + m[j : j + step] * t
+            grid[i, j : j + step] = np.remainder(block, n, out=block)
     phases.setflags(write=False)  # handed over to a member or family without a copy
     return phases
 

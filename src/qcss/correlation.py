@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices, _is_index, build_ccc, build_qcss
+from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices, _is_index, _phase_dtype, build_ccc, build_qcss
 from .errors import (
     FamilyMismatchError,
     LengthMismatchError,
@@ -87,8 +87,10 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 
 def rows_to_complex(mat: PhaseMatrix) -> np.ndarray:
-    """Complex N x N matrix exp(2j*pi*phases/N), via the shared root table."""
-    return roots_of_unity(mat.n)[mat.phases]
+    """Complex N x N matrix exp(2j*pi*phases/N), via the shared root table.
+    take, because fancy indexing with a compact unsigned index is about
+    three times slower than with int64."""
+    return roots_of_unity(mat.n).take(mat.phases)
 
 
 @dataclass
@@ -222,18 +224,19 @@ def _physical_memory() -> int:
 
 
 def check_scan_memory(members: int, n: int) -> int:
-    """Bytes an FFT scan over K = members members of modulus n allocates:
-    the spectra, L*K*N*16; per worker, a gathered member and a line
-    buffer, N*(N+L)*16, and numpy's iteration buffers for two complex
-    operands; one tile's L*32*K pair products, 16 bytes each, and the
-    argmax search's mask over them, 1 byte each; and one buffer that holds
-    the conjugated row block and then the magnitudes,
-    max(L*32*N*16, L*32*K*8). Raises QcssError, before anything is
-    allocated, when that exceeds physical memory."""
+    """Bytes an FFT scan over K = members members of modulus n holds: the
+    input phase arrays, K*N*N bytes of their dtype; the spectra, L*K*N*16;
+    per worker, a gathered member and a line buffer, N*(N+L)*16, and
+    numpy's iteration buffers for two complex operands; one tile's L*32*K
+    pair products, 16 bytes each, and the argmax search's mask over them,
+    1 byte each; and one buffer that holds the conjugated row block and
+    then the magnitudes, max(L*32*N*16, L*32*K*8). Raises QcssError, before
+    the scan allocates anything, when that exceeds physical memory."""
     length = _fft_length(n)
     worker = (n * (n + length) + 2 * np.getbufsize()) * 16
     tile = max(length * _TILE_ROWS * n * 16, length * _TILE_ROWS * members * 8)
-    need = length * members * n * 16 + _workers() * worker + length * _TILE_ROWS * members * 17 + tile
+    need = members * n * n * _phase_dtype(n).itemsize + length * members * n * 16
+    need += _workers() * worker + length * _TILE_ROWS * members * 17 + tile
     if need > (have := _physical_memory()):
         raise QcssError(
             f"FFT scan of {members} members at N={n} needs about {need} bytes "
@@ -325,7 +328,7 @@ def _spectra(phases: np.ndarray, length: int) -> np.ndarray:
     def transform(a: int, b: int) -> None:
         lines = np.empty((n, length), dtype=complex)
         for u in range(a, b):
-            np.fft.fft(roots[phases[u]], n=length, axis=1, out=lines)
+            np.fft.fft(roots.take(phases[u]), n=length, axis=1, out=lines)
             out[:, u] = lines.T
 
     _split(len(phases), transform)
@@ -649,7 +652,8 @@ def delta_max_exact(f: Factorization, perm: Permutation, tol: float | None = Non
 
 def _corrupt_member(family: SequenceFamily, k: int, m: int, s: int, t: int) -> SequenceFamily:
     """Test hook: add 1 (mod N) to entry (s, t) of member (k, m), in a copy
-    of the family's array; a family without that member comes back as is."""
+    of the family's array; a family without that member comes back as is.
+    N is odd and its dtype's maximum is 2**b - 1, so x + 1 <= N fits."""
     for u, mat in enumerate(family):
         if (mat.k, mat.m) == (k, m):
             phases = family.phases.copy()

@@ -316,7 +316,8 @@ class TestVerify:
         )
         assert code == EXIT_BAD_ARGS
         assert stdout == ""
-        need = 600 * members * (16 * 289 + 17 * 32) + correlation._workers() * (289 * (289 + 600) + 2 * 8192) * 16
+        need = members * 289**2 * 2 + 600 * members * (16 * 289 + 17 * 32)
+        need += correlation._workers() * (289 * (289 + 600) + 2 * 8192) * 16
         need += max(600 * 32 * 289 * 16, 600 * 32 * members * 8)
         assert stderr.count("\n") == 1 and f"needs about {need} bytes" in stderr
 

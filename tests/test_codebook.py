@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestBuildSet:
 
     def test_alphabet_closure(self, perm15):
         mat = build_set(2, 9, perm15)
-        assert mat.phases.dtype == np.int64
+        assert mat.phases.dtype == np.min_scalar_type(15 - 1)
         assert mat.phases.min() >= 0 and mat.phases.max() < 15
 
     def test_phases_read_only(self, perm15):
@@ -146,6 +147,58 @@ class TestNonIntegerIndices:
         mat = build_set(np.int64(1), np.int32(4), perm15)
         assert mat == build_set(1, 4, perm15)
         assert phase(np.int8(1), 0, np.uint16(1), 2, perm15) == phase(1, 0, 1, 2, perm15)
+
+
+class TestCompactPhases:
+    """Phases are stored in np.min_scalar_type(N - 1), uint8 up to N = 255:
+    entries that are not integers are refused, never cast, and the dtype
+    boundaries hold."""
+
+    NON_INTEGER = {
+        "float": np.array([[0.5, 1.9, 2.2], [0, 0, 0], [1, 1, 1]]),  # was stored as [[0, 1, 2], ...]
+        "bool": np.eye(3, dtype=bool),
+        "str": np.array([["0", "1", "2"]] * 3),
+        "object": np.array([[0, 1, 2]] * 3, dtype=object),
+    }
+
+    @pytest.mark.parametrize("cells", NON_INTEGER.values(), ids=NON_INTEGER.keys())
+    @pytest.mark.parametrize("holder", ["PhaseMatrix", "SequenceFamily"])
+    def test_non_integer_phases_refused(self, cells, holder):
+        with pytest.raises(OutOfRangeError, match="phase entries must be integers"):
+            if holder == "PhaseMatrix":
+                PhaseMatrix(3, 1, 0, cells)
+            else:
+                SequenceFamily(3, "ccc", np.stack([cells] * 3), k=1)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+    def test_other_integer_types_accepted(self, dtype, perm15):
+        want = build_ccc(1, perm15)
+        family = SequenceFamily(15, "ccc", want.phases.astype(dtype), k=1)
+        mat = PhaseMatrix(15, 1, 4, want.phases[4].astype(dtype))
+        assert family == want and mat == want[4]
+        assert family.phases.dtype == mat.phases.dtype == np.uint8
+
+    def test_corrupt_wraps_at_the_last_uint8_modulus(self):
+        f = factorize(255)  # 3 * 5 * 17
+        family = build_ccc(1, pi_perm(f))
+        assert family.phases.dtype == np.uint8 and family.phases[254, 0, 1] == 254  # (1, 254): 254 * t
+        corrupted = correlation._corrupt_member(family, 1, 254, 0, 1)
+        assert corrupted.phases.dtype == np.uint8 and corrupted.phases[254, 0, 1] == 0
+        assert np.count_nonzero(corrupted.phases != family.phases) == 1
+
+    @pytest.mark.parametrize("n,kind", [(105, "qcss"), (225, "ccc")])
+    def test_build_holds_no_int64_array(self, n, kind):
+        """The int64 array alone was K*N*N*8 bytes: 18.5 MB for the N = 105
+        pool, 91 MB for an N = 225 ccc."""
+        f = factorize(n)
+        perm = pi_perm(f)
+        tracemalloc.start()
+        try:
+            family = build_qcss(f, perm) if kind == "qcss" else build_ccc(1, perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(family) * n * n * 8
 
 
 class TestBuildQcss:
@@ -247,7 +300,7 @@ class TestFamilyArray:
         f, perm = fp
         n = f.n
         family = build_qcss(f, perm)
-        assert family.phases.shape == (len(family), n, n) and family.phases.dtype == np.int64
+        assert family.phases.shape == (len(family), n, n) and family.phases.dtype == np.min_scalar_type(n - 1)
         assert family.phases.flags.c_contiguous and not family.phases.flags.writeable
         for _ in range(5):
             u = data.draw(st.integers(0, len(family) - 1), label="u")

@@ -366,3 +366,49 @@ def test_member_decode_refuses_as_one_array(obj, scratch_dir):
         assert outcomes == [want] * 2
     else:
         assert outcomes[0] == outcomes[1]
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["set", "ccc", "qcss"]), values=st.sampled_from(["construction", "zeros"]), data=st.data())
+def test_built_and_loaded_phases_are_compact(kind, values, data, scratch_dir):
+    """Every built or loaded set or family stores its phases in
+    np.min_scalar_type(N - 1), whatever its values: uint8 up to N = 255,
+    uint16 from N = 257 on."""
+    n = data.draw(st.one_of(moduli, st.sampled_from([253, 255, 257, 259])) if kind == "set" else moduli, label="n")
+    f = factorize(n)
+    e = data.draw(admissible_exponent(n), label="e")
+    perm = pi_perm(f, e)
+    k = data.draw(st.integers(1, f.least_prime - 1), label="k")
+    built = {
+        "set": lambda: [build_set(k, data.draw(st.integers(0, n - 1), label="m"), perm)],
+        "ccc": lambda: list(build_ccc(k, perm)),
+        "qcss": lambda: list(build_qcss(f, perm)),
+    }[kind]()
+    if values == "zeros":
+        built = [PhaseMatrix(n, mat.k, mat.m, np.zeros((n, n), dtype=np.int64)) for mat in built]
+    arrays = [built[0].phases]
+    if kind == "set":
+        arrays.append(matrix_from_csv_text(matrix_to_csv_text(built[0], e))[0].phases)
+    text = json.dumps(family_to_json_obj(built, n, e, kind))
+    (scratch_dir / "compact.json").write_text(text)
+    for members, _, _ in (load_family_json(scratch_dir / "compact.json"), family_from_json_obj(json.loads(text))):
+        arrays += [members[0].phases, members[0].phases.base]
+    assert {a.dtype for a in arrays if a is not None} == {np.min_scalar_type(n - 1)}
+
+
+def test_first_uint16_modulus_round_trips(tmp_path):
+    """N = 257: a set is uint16, equals the int64 closed form, and comes
+    back from CSV and JSON as the same uint16 array."""
+    perm = pi_perm(factorize(257), 3)
+    s = np.arange(257, dtype=np.int64)[:, None]
+    want = (200 * s * perm.table + 131 * np.arange(257, dtype=np.int64)) % 257
+    mat = build_set(200, 131, perm)
+    (tmp_path / "set.json").write_text(json.dumps(family_to_json_obj([mat], 257, 3, "set")))
+    loaded = [
+        matrix_from_csv_text(matrix_to_csv_text(mat, 3))[0],
+        family_from_json_obj(json.loads((tmp_path / "set.json").read_text()))[0][0],
+        load_family_json(tmp_path / "set.json")[0][0],
+    ]
+    for back in [mat, *loaded]:
+        assert back.phases.dtype == np.uint16 and np.array_equal(back.phases, want)
+        assert (back.n, back.k, back.m) == (257, 200, 131)

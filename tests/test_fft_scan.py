@@ -366,13 +366,14 @@ def test_scan_memory_within_estimate(monkeypatch):
 
 
 def test_memory_estimate(monkeypatch):
-    # The N = 289 pool: K = 4624 members, L = 600, on 3 workers. Spectra;
-    # per worker a gathered member, a line buffer and numpy's iteration
-    # buffers (8192 elements for each of two complex operands); one tile's
-    # pair products and the argmax mask; and the buffer the conjugated row
-    # block and the magnitudes share.
+    # The N = 289 pool: K = 4624 members, L = 600, on 3 workers. The uint16
+    # phase array; spectra; per worker a gathered member, a line buffer and
+    # numpy's iteration buffers (8192 elements for each of two complex
+    # operands); one tile's pair products and the argmax mask; and the
+    # buffer the conjugated row block and the magnitudes share.
     monkeypatch.setattr(correlation, "_workers", lambda: 3)
-    need = 600 * 4624 * 289 * 16 + 3 * (289 * (289 + 600) + 2 * 8192) * 16 + 600 * 32 * 4624 * 17
+    need = 4624 * 289**2 * 2 + 600 * 4624 * 289 * 16
+    need += 3 * (289 * (289 + 600) + 2 * 8192) * 16 + 600 * 32 * 4624 * 17
     need += max(600 * 32 * 289 * 16, 600 * 32 * 4624 * 8)
     monkeypatch.setattr(correlation, "_physical_memory", lambda: need)
     assert check_scan_memory(4624, 289) == need
