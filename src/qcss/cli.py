@@ -11,6 +11,7 @@ failure. verify prints the reports of the engine dispatch correlation.verify.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -32,7 +33,7 @@ from .bounds import (
 )
 from .codebook import PhaseMatrix, SequenceFamily, build_set
 from .codebook import _check_family_indices, _check_in_range
-from .errors import PreconditionViolatedError, QcssError
+from .errors import OutOfRangeError, PreconditionViolatedError, QcssError
 from .modarith import default_exponent, factorize, pi_perm, power_perm, verify_unique_solution
 
 EXIT_OK = 0
@@ -63,69 +64,40 @@ def matrix_to_csv_text(mat: PhaseMatrix, exponent: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RAGGED = "member phases: ragged rows or a non-integer cell"
-
-
-def _member_phases(cells) -> tuple[np.ndarray, bool]:
-    """One member's decoded JSON cells as an array, and whether one of them
-    is a JSON true or false; ragged rows raise QcssError. Integer cells in
-    [0, 2**32) come back in the smallest unsigned type that holds them. An
-    array is returned as it is."""
+def _member_phases(cells) -> np.ndarray:
+    """One member's decoded JSON cells as an array in the smallest unsigned
+    type that holds them. Ragged rows and a non-integer, true or false cell
+    raise QcssError, and a cell outside [0, 2**32) OutOfRangeError: no
+    loadable N x N array has N > 2**32, and unsigned members never promote
+    each other to float. An array is returned as it is."""
     if isinstance(cells, np.ndarray):
-        return cells, False
+        return cells
     try:
         phases = np.array(cells)
+        integer = not phases.size or phases.dtype.kind in "iu"
     except ValueError:  # ragged rows
-        raise QcssError(_RAGGED) from None
-    boolean = False
-    if phases.ndim == 2 and phases.dtype.kind in "iub":
+        integer = False
+    if not integer:
+        raise QcssError("member phases: ragged rows or a non-integer cell")
+    if phases.ndim == 2:
         # np.array reads JSON true/false among integers as 1/0, so only the
         # cells that read 0 or 1 need their Python type looked at.
         where = zip(*(axis.tolist() for axis in np.nonzero((phases == 0) | (phases == 1))))
-        boolean = any(type(cells[r][c]) is bool for r, c in where)
-    if phases.dtype.kind in "iu" and phases.min(initial=0) >= 0 and phases.max(initial=0) < 2**32:
-        phases = phases.astype(np.min_scalar_type(phases.max(initial=0)))
-    return phases, boolean
-
-
-def _phase_cells(cells: list) -> np.ndarray:
-    """The (K, N, N) phases of a bundle's members, from their decoded JSON
-    cells or _member_phases arrays, stacked in the members' common type.
-    Ragged rows, members of different shapes and a non-integer or boolean
-    cell raise QcssError, with the message that one np.array of every cell
-    would give."""
-    members = [_member_phases(member) for member in cells]
-    arrays = [array for array, _ in members]
-    # Cell types promote as in that np.array, which reads the cells of a
-    # compact unsigned array as int64.
-    dtypes = {np.dtype(np.int64) if a.dtype.kind == "u" and a.itemsize < 8 else a.dtype for a in arrays}
-    if any(a.size for a in arrays) and not (
-        {dtype.kind for dtype in dtypes} <= set("iub") and np.result_type(*dtypes).kind in "iu"
-    ):
-        raise QcssError(_RAGGED)
-    try:
-        phases = np.array(arrays, dtype=np.result_type(np.uint8, *(a.dtype for a in arrays if a.size)))
-    except ValueError:  # members of different shapes
-        raise QcssError(_RAGGED) from None
-    if phases.ndim == 3 and any(boolean for _, boolean in members):
-        raise QcssError("member phases: a non-integer cell (true or false)")
-    phases.setflags(write=False)  # handed over to the members without a copy
-    return phases
+        if any(type(cells[r][c]) is bool for r, c in where):
+            raise QcssError("member phases: a non-integer cell (true or false)")
+    if phases.min(initial=0) < 0 or phases.max(initial=0) >= 2**32:
+        raise OutOfRangeError("phase entries must lie in [0, N)")
+    return phases.astype(np.min_scalar_type(phases.max(initial=0)))
 
 
 def _decode_object(pairs: list) -> dict:
     """object_pairs_hook of load_family_json: a member's phases become an
     array as soon as the member is decoded, so the bundle is never held as
-    nested lists. A member with a ragged row or a true or false cell keeps
-    its list, for _phase_cells to refuse."""
+    nested lists. A member _member_phases refuses keeps its list, so that
+    family_from_json_obj names a bad schema or field before it."""
     obj = dict(pairs)
-    if "phases" in obj:
-        try:
-            phases, boolean = _member_phases(obj["phases"])
-        except QcssError:
-            return obj
-        if not boolean:
-            obj["phases"] = phases
+    with contextlib.suppress(QcssError, KeyError):
+        obj["phases"] = _member_phases(obj["phases"])
     return obj
 
 
@@ -223,14 +195,18 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
         sizes = {name: _integer(name, obj[name]) for name in ("p0", "set_size", "flock_size", "length")}
         labels = [(_integer("k", rec["k"]), _integer("m", rec["m"])) for rec in obj["members"]]
         positions = [_integer("u", rec["u"]) for rec in obj["members"]]
-        phases = _phase_cells([rec["phases"] for rec in obj["members"]])
+        arrays = [_member_phases(rec["phases"]) for rec in obj["members"]]
     except KeyError as exc:
         raise QcssError(f"family bundle lacks the key {exc}") from None
     except TypeError:
         raise QcssError("family bundle members must be a list of objects") from None
-    if len(phases):
-        _check_cells(n, phases.shape[1:])
+    for array in arrays:
+        _check_cells(n, array.shape)
     f = factorize(n)
+    # After factorize, so every member is N x N; a bundle of no members
+    # gives an empty array for the family checks to refuse.
+    phases = np.array(arrays)
+    phases.setflags(write=False)  # handed over to the members without a copy
     power_perm(f.largest_prime, exponent)  # refuses unless gcd(p - 1, e) = 1
     if kind == "set" and len(labels) == 1:
         [(k, m)] = labels
@@ -255,11 +231,11 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
 
 
 def _read(path: str | Path, decode):
-    """decode(open text file); bad UTF-8 or bad JSON raises QcssError."""
+    """decode(open text file); bad UTF-8 or bad or too deeply nested JSON raises QcssError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return decode(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise QcssError(f"{path}: malformed file ({exc})") from None
 
 

@@ -295,7 +295,33 @@ def test_bad_schema_named_before_a_bad_cell(tmp_path):
 )
 @pytest.mark.parametrize("u", [0, 7])
 def test_members_of_different_shapes(shape_edit, u, tmp_path):
-    assert both_decoders(bundle_text(lambda obj: shape_edit(obj["members"][u]["phases"])), tmp_path) == [RAGGED] * 2
+    """Each member is checked for its N x N shape, as a CSV matrix is."""
+    text = bundle_text(lambda obj: shape_edit(obj["members"][u]["phases"]))
+    shape = np.shape(json.loads(text)["members"][u]["phases"])
+    assert shape != (15, 15)
+    assert both_decoders(text, tmp_path) == [(QcssError, f"phases must be 15x15, got {shape}")] * 2
+
+
+def test_unsigned_member_beside_a_negative_cell(tmp_path):
+    """A member of cells 2**63 is out of range on its own: it is never
+    promoted to float with the int64 cells of another member."""
+
+    def edit(obj):
+        obj["members"][0]["phases"] = [[2**63] * 15] * 15
+        set_cell(1, 0, 0, -1)(obj)
+
+    assert both_decoders(bundle_text(edit), tmp_path) == [OUT_OF_RANGE] * 2
+
+
+@pytest.mark.parametrize("where", ["file", "member"])
+def test_deeply_nested_json_refused(where, tmp_path):
+    """Nesting past the interpreter's recursion limit is malformed JSON, not a RecursionError."""
+    nested = "[" * 200_000 + "]" * 200_000
+    text = nested if where == "file" else bundle_text(set_cell(0, 0, 0, "NESTED")).replace('"NESTED"', nested)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(QcssError, match="malformed file"):
+        load_family_json(path)
 
 
 def one_array_refusal(cells):
@@ -348,11 +374,19 @@ def scratch_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("bundles")
 
 
+def member_refusal(outcome) -> bool:
+    """Whether a decode outcome is one of the refusals of a bad member's cells."""
+    return outcome in (RAGGED, BOOLEAN, OUT_OF_RANGE) or (
+        isinstance(outcome, tuple) and outcome[0] is QcssError and outcome[1].startswith("phases must be 9x9, got ")
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(obj=edited_bundle())
 def test_member_decode_refuses_as_one_array(obj, scratch_dir):
-    """Both decoders refuse an edited bundle with the class and message of
-    the one-array reference, whatever the edits and their members."""
+    """Both decoders give an edited bundle the same outcome, and refuse it
+    for a bad member whenever the one-array reference refuses it, whatever
+    the edits and their members."""
     text = json.dumps(obj)
     outcomes = []
     (scratch_dir / "edited.json").write_text(text)
@@ -361,11 +395,9 @@ def test_member_decode_refuses_as_one_array(obj, scratch_dir):
             outcomes.append(decode())
         except QcssError as exc:
             outcomes.append((type(exc), str(exc)))
-    want = one_array_refusal([record["phases"] for record in obj["members"]])
-    if want is not None:
-        assert outcomes == [want] * 2
-    else:
-        assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1]
+    if one_array_refusal([record["phases"] for record in obj["members"]]) is not None:
+        assert member_refusal(outcomes[0])
 
 
 @PROPERTY
