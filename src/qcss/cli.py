@@ -52,15 +52,17 @@ _CSV_ROWS = dict(delimiter=",", dtype=np.int64, comments="#", ndmin=2)
 # serialization
 
 
-def matrix_to_csv_text(mat: PhaseMatrix, exponent: int) -> str:
-    """Row-major integer CSV with a one-line metadata header.
-
-    Each cell is looked up in a table of the N decimal strings, so the text
-    is exactly that of str() on every entry.
-    """
+def _rows(mat: PhaseMatrix, sep: str) -> list[str]:
+    """The rows of mat as text, their cells joined by sep. Each cell is
+    looked up in a table of the N decimal strings, so the text is exactly
+    that of str() on every entry."""
     tokens = np.array([str(v) for v in range(mat.n)], dtype=object)
-    lines = [f"# N={mat.n}, k={mat.k}, m={mat.m}, e={exponent}"]
-    lines += map(",".join, tokens[mat.phases].tolist())
+    return list(map(sep.join, tokens[mat.phases].tolist()))
+
+
+def matrix_to_csv_text(mat: PhaseMatrix, exponent: int) -> str:
+    """Row-major integer CSV with a one-line metadata header."""
+    lines = [f"# N={mat.n}, k={mat.k}, m={mat.m}, e={exponent}", *_rows(mat, ",")]
     return "\n".join(lines) + "\n"
 
 
@@ -169,13 +171,15 @@ def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
         "set_size": len(members),
         "flock_size": n,
         "length": n,
-        "members": [_member_record(u, mat) for u, mat in enumerate(members)],
+        "members": [{"u": u, "k": mat.k, "m": mat.m, "phases": mat.phases.tolist()} for u, mat in enumerate(members)],
     }
 
 
-def _member_record(u: int, mat: PhaseMatrix) -> dict:
-    """The bundle record of member u; generate streams one at a time."""
-    return {"u": u, "k": mat.k, "m": mat.m, "phases": mat.phases.tolist()}
+def _member_text(u: int, mat: PhaseMatrix) -> str:
+    """json.dumps of member u's record in family_to_json_obj, written from
+    the decimal strings of _rows; generate streams one at a time."""
+    rows = "], [".join(_rows(mat, ", "))
+    return f'{{"u": {u}, "k": {mat.k}, "m": {mat.m}, "phases": [[{rows}]]}}'
 
 
 def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
@@ -239,8 +243,83 @@ def _read(path: str | Path, decode):
             raise QcssError(f"{path}: malformed file ({exc})") from None
 
 
+_WINDOW = 1 << 20  # characters of JSON text read at a time, at first
+
+
+def _load_windowed(fh):
+    """json.load(fh, object_pairs_hook=_decode_object), holding a window of
+    the text, not the file: the top-level object is read key by key and its
+    "members" array one member at a time. The window is refilled before a
+    value when less than half its size is left, and its size grows to twice
+    the longest value, so a member is parsed once. A value that ends within
+    two characters of the window's end is decoded again after a refill: 10
+    may go on as 105, 1. as 1.5, 1e+ as 1e+5. Any other layout, and any
+    error, goes to json.load of the whole text, so the result or error is
+    always json.load's."""
+    decode = json.JSONDecoder(object_pairs_hook=_decode_object).raw_decode
+    text, pos, size, eof = "", 0, _WINDOW, False
+
+    def refill():
+        nonlocal text, pos, eof
+        more = fh.read(size)
+        text, pos, eof = text[pos:] + more, 0, not more
+
+    def peek() -> str:  # the next non-space character, "" at the end of the file
+        nonlocal pos
+        while (pos := json.decoder.WHITESPACE.match(text, pos).end()) == len(text) and not eof:
+            refill()
+        return text[pos : pos + 1]
+
+    def take(chars: str) -> str:
+        nonlocal pos
+        if not (c := peek()) or c not in chars:
+            raise ValueError(chars)
+        pos += 1
+        return c
+
+    def value():
+        nonlocal pos, size
+        peek()
+        if not eof and len(text) - pos < size // 2:
+            refill()
+        while True:
+            try:
+                obj, end = decode(text, pos)
+                if eof or end + 2 < len(text):
+                    size, pos = max(size, 2 * (end - pos)), end
+                    return obj
+            except ValueError as exc:  # JSONDecodeError, or an int of too many digits
+                # Only a string, or a token cut at the window's end, can be cured by more text.
+                if eof or getattr(exc, "pos", 0) < len(text) - 16 and not str(exc).startswith("Unterminated string"):
+                    raise
+            refill()
+
+    def items(brackets: str, item) -> list:  # of a non-empty array or object
+        take(brackets[0])
+        found = [item()]
+        while take("," + brackets[1]) == ",":
+            found.append(item())
+        return found
+
+    def pair() -> tuple:
+        key = value()
+        if type(key) is not str:
+            raise ValueError("a key that is not a string")
+        take(":")
+        return key, items("[]", value) if key == "members" else value()
+
+    try:
+        pairs = items("{}", pair)
+        if peek():
+            raise ValueError("extra data")
+        return dict(pairs)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        fh.seek(0)
+        return json.load(fh, object_pairs_hook=_decode_object)
+
+
 def load_family_json(path: str | Path) -> tuple[list[PhaseMatrix], int, str]:
-    return family_from_json_obj(_read(path, lambda fh: json.load(fh, object_pairs_hook=_decode_object)))
+    return family_from_json_obj(_read(path, _load_windowed))
 
 
 def load_matrix_csv(path: str | Path) -> tuple[PhaseMatrix, int]:
@@ -286,12 +365,12 @@ def _cmd_generate(args) -> int:
     if args.format == "json":
         out.parent.mkdir(parents=True, exist_ok=True)
         # The bytes of json.dumps(family_to_json_obj(all sets, ...)), one
-        # dumps call per member: json.dump would run the pure-Python encoder.
+        # member's text at a time: json.dump would run the pure-Python encoder.
         head = json.dumps(family_to_json_obj([], n, e, kind) | {"set_size": len(labels)})
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(head[: -len("]}")])
             for u, mat in enumerate(sets):
-                fh.write((", " if u else "") + json.dumps(_member_record(u, mat)))
+                fh.write((", " if u else "") + _member_text(u, mat))
             fh.write("]}")
         written = [out]
     elif kind == "set":

@@ -177,7 +177,12 @@ def pi_perm(f: Factorization, e: int | None = None) -> Permutation:
     xi = power_perm(p_last, e).table
     i = np.arange(f.n, dtype=np.int64)
     last = i % p_last
-    return Permutation(f.n, i - last + xi[last])
+    # In place, and last freed before Permutation copies i: at the largest
+    # table modulus these N-length arrays set the peak memory.
+    i -= last
+    i += xi.take(last)
+    del last
+    return Permutation(f.n, i)
 
 
 def _check_modulus(f: Factorization, perm: Permutation) -> None:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcss import OutOfRangeError, QcssError, build_ccc, build_qcss, build_set, factorize, pi_perm
+from qcss import OutOfRangeError, QcssError, build_ccc, build_qcss, build_set, cli, factorize, pi_perm
 from qcss.cli import (
     family_from_json_obj,
     family_to_json_obj,
@@ -216,11 +216,12 @@ def test_json_export_holds_one_member(pool105, tmp_path):
 
 
 def test_json_import_holds_compact_members(pool105):
-    """Nested lists of every member's cells peaked at 42.4 MiB, over the
-    26.4 MiB of the (210, 105, 105) int64 array plus the file."""
-    members = 105 * (factorize(105).least_prime - 1)
+    """The import holds a window of the text, the compact members and the
+    family array, below the 8.7 MiB file. Nested lists of every member's
+    cells peaked at 42.4 MiB, and the whole text with compact members at
+    17.4 MiB."""
     peak = traced_peak(lambda: load_family_json(pool105))
-    assert peak < members * 105 * 105 * 8 + pool105.stat().st_size
+    assert peak < pool105.stat().st_size
 
 
 def bundle_text(edit):
@@ -231,16 +232,36 @@ def bundle_text(edit):
     return json.dumps(obj)
 
 
+def outcome(decode):
+    """What decode() gives: the members with their dtypes, the exponent and
+    the kind, or the (class, message) of its refusal."""
+    try:
+        members, e, kind = decode()
+    except QcssError as exc:
+        return type(exc), str(exc)
+    return [(mat, mat.phases.dtype) for mat in members], e, kind
+
+
+def windowed_load(path, streamed=True):
+    """The outcome of load_family_json(path), checked to be the same with
+    the reader's window cut to each of 1 to 7 characters. If streamed, no
+    window may fall back to json.load of the whole text."""
+    outcomes, whole = [], []
+    for window in (cli._WINDOW, *range(1, 8)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_WINDOW", window)
+            patch.setattr(json, "load", lambda *args, load=json.load, **kw: whole.append(window) or load(*args, **kw))
+            outcomes.append(outcome(lambda: load_family_json(path)))
+    assert outcomes == [outcomes[0]] * len(outcomes)
+    assert not (streamed and whole), f"windows {whole} read the whole text"
+    return outcomes[0]
+
+
 def both_decoders(text, tmp_path):
-    """The refusal of load_family_json and of family_from_json_obj on
-    json.loads output, for one bundle text: (class, message) of each."""
+    """The outcome of load_family_json, streamed at every window, and of
+    family_from_json_obj on json.loads output, for one bundle text."""
     (tmp_path / "bundle.json").write_text(text)
-    refusals = []
-    for decode in (lambda: load_family_json(tmp_path / "bundle.json"), lambda: family_from_json_obj(json.loads(text))):
-        with pytest.raises(QcssError) as caught:
-            decode()
-        refusals.append((type(caught.value), str(caught.value)))
-    return refusals
+    return [windowed_load(tmp_path / "bundle.json"), outcome(lambda: family_from_json_obj(json.loads(text)))]
 
 
 def set_cell(u, r, c, value):
@@ -324,6 +345,99 @@ def test_deeply_nested_json_refused(where, tmp_path):
         load_family_json(path)
 
 
+def whole_text_outcome(path):
+    """The outcome of load_family_json when it decoded the whole text at once."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        return QcssError, f"{path}: malformed file ({exc})"
+    return outcome(lambda: family_from_json_obj(obj))
+
+
+def reordered(text, members_first):
+    obj = json.loads(text)
+    members = obj.pop("members")
+    return json.dumps({"members": members, **obj} if members_first else obj | {"members": members})
+
+
+CCC15 = bundle_text(lambda obj: None)
+# Well-formed bundles, which the reader streams, then layouts and malformed
+# files that only a decode of the whole text names as before.
+STREAMED = {
+    "members first": reordered(CCC15, True),
+    "members last": reordered(CCC15, False),
+    "members twice, the last kept": '{"members": [{"u": 9}], ' + CCC15[1:],
+    "indent 2": json.dumps(json.loads(CCC15), indent=2),
+    "space around": " \n\t" + CCC15 + "\r\n ",
+    "a long number and key cut at window edges": '{"x": 1234567890.125e-3, "' + "k" * 40 + '": 0, ' + CCC15[1:],
+    "float fields": bundle_text(lambda obj: obj.update(exponent=-1.25e300, p0=10.5)),
+}
+WHOLE = {
+    "members twice, a bad one last": CCC15[:-1] + ', "members": 5}',
+    "trailing data": CCC15 + " x",
+    "a second object": CCC15 + "{}",
+    "truncated": CCC15[:-2],
+    "cut inside a member": CCC15[: len(CCC15) // 2],
+    "cut inside a number": CCC15[: CCC15.index("1", 2000) + 1],
+    "byte order mark": "\ufeff" + CCC15,
+    "top-level array": f"[{CCC15}]",
+    "members not a list": bundle_text(lambda obj: obj.update(members={"u": 0})),
+    "no members": bundle_text(lambda obj: obj.update(members=[])),
+    "an empty object": "{}",
+    "an empty file": "",
+}
+
+
+@pytest.mark.parametrize(
+    "text,streamed",
+    [(text, True) for text in STREAMED.values()] + [(text, False) for text in WHOLE.values()],
+    ids=[*STREAMED, *WHOLE],
+)
+def test_windowed_reader_decodes_as_the_whole_text(text, streamed, tmp_path):
+    """Any layout, and any malformed file, gives what a decode of the whole
+    text gave, at every window size: the same members or the same refusal,
+    and for bad JSON the same char offset."""
+    path = tmp_path / "bundle.json"
+    path.write_text(text, encoding="utf-8")
+    assert windowed_load(path, streamed) == whole_text_outcome(path)
+
+
+def test_syntax_error_past_the_first_window(pool105, tmp_path):
+    """A bad delimiter 5 MiB into the N = 105 pool is named at its offset in
+    the whole text, not in the reader's window."""
+    text = pool105.read_text()
+    at = text.index(", ", 5 * 2**20)
+    path = tmp_path / "bad.json"
+    path.write_text(text[:at] + ";" + text[at + 1 :])
+    refusal = outcome(lambda: load_family_json(path))
+    assert refusal == whole_text_outcome(path)
+    assert "Expecting ',' delimiter" in refusal[1] and f"(char {at})" in refusal[1]
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["set", "ccc", "qcss"]), data=st.data())
+def test_any_layout_loads_as_json_loads(kind, data, scratch_dir):
+    """Random whitespace, key order, indent and window size give the result
+    of family_from_json_obj(json.loads(text))."""
+    members = data.draw(family(kind))
+    n = members[0].n
+    obj = family_to_json_obj(members, n, data.draw(admissible_exponent(n)), kind)
+
+    def shuffled(record):
+        return {key: record[key] for key in data.draw(st.permutations(list(record)))}
+
+    obj = shuffled(obj | {"members": [shuffled(record) for record in obj["members"]]})
+    space = st.text(" \t\n\r", max_size=3)
+    separators = (data.draw(space) + "," + data.draw(space), data.draw(space) + ":" + data.draw(space))
+    indent = data.draw(st.sampled_from([None, 0, 2, "\t"]))
+    text = data.draw(space) + json.dumps(obj, indent=indent, separators=separators) + data.draw(space)
+    (scratch_dir / "layout.json").write_text(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_WINDOW", data.draw(st.sampled_from([1, 2, 3, 5, 7, 64, cli._WINDOW])))
+        loaded = outcome(lambda: load_family_json(scratch_dir / "layout.json"))
+    assert loaded == outcome(lambda: family_from_json_obj(json.loads(text)))
+
+
 def one_array_refusal(cells):
     """The reference: the refusal that one np.array of every member's cells
     gives, as the whole-bundle decode did before members were decoded one
@@ -387,14 +501,7 @@ def test_member_decode_refuses_as_one_array(obj, scratch_dir):
     """Both decoders give an edited bundle the same outcome, and refuse it
     for a bad member whenever the one-array reference refuses it, whatever
     the edits and their members."""
-    text = json.dumps(obj)
-    outcomes = []
-    (scratch_dir / "edited.json").write_text(text)
-    for decode in (lambda: load_family_json(scratch_dir / "edited.json"), lambda: family_from_json_obj(json.loads(text))):
-        try:
-            outcomes.append(decode())
-        except QcssError as exc:
-            outcomes.append((type(exc), str(exc)))
+    outcomes = both_decoders(json.dumps(obj), scratch_dir)
     assert outcomes[0] == outcomes[1]
     if one_array_refusal([record["phases"] for record in obj["members"]]) is not None:
         assert member_refusal(outcomes[0])
