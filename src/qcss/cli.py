@@ -235,11 +235,13 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
 
 
 def _read(path: str | Path, decode):
-    """decode(open text file); bad UTF-8 or bad or too deeply nested JSON raises QcssError."""
+    """decode(open text file); bad UTF-8, bad or too deeply nested JSON and
+    a JSON integer past int's digit limit raise QcssError. Each of these is
+    a ValueError or a RecursionError; decode lets no QcssError out."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return decode(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise QcssError(f"{path}: malformed file ({exc})") from None
 
 

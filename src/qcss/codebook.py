@@ -163,28 +163,31 @@ class SequenceFamily:
         )
 
 
-# Entries of the int64 buffer _broadcast computes in one step: 8 MiB,
-# whatever the size of the family.
+# Entries of the buffers _broadcast computes in one step, whatever the
+# size of the family.
 _STEP_ENTRIES = 1 << 20
 
 
 def _broadcast(perm: Permutation, ks: Sequence[int], ms: Sequence[int]) -> np.ndarray:
     """(len(ks) * len(ms), N, N) phases k*s*pi(t) + m*t (mod N), k-major:
-    the set (ks[i], ms[j]) sits at i * len(ms) + j. The sets are computed
-    in int64 a few at a time, at most _STEP_ENTRIES entries per step, and
-    written into the compact array, so no (K, N, N) int64 array is allocated."""
+    the set (ks[i], ms[j]) sits at i * len(ms) + j. k*s*pi(t) mod N is
+    computed once per k and m*t mod N once, both in the smallest unsigned
+    type that holds 2N - 2. A few sets at a time, at most _STEP_ENTRIES
+    entries per step, their sum x is reduced to min(x, x - N), where x - N
+    wraps above x unless x >= N, and written into the compact array, so no
+    (K, N, N) int64 array is allocated."""
     n = perm.modulus
-    m = np.asarray(ms, dtype=np.int64)[:, None, None]
+    work = np.min_scalar_type(2 * n - 2)
     t = np.arange(n, dtype=np.int64)
-    s = t[:, None]
-    phases = np.empty((len(ks) * len(m), n, n), dtype=_phase_dtype(n))
-    grid = phases.reshape(len(ks), len(m), n, n)
+    mt = (np.multiply.outer(ms, t) % n).astype(work)[:, None]
+    phases = np.empty((len(ks) * len(mt), n, n), dtype=_phase_dtype(n))
+    grid = phases.reshape(len(ks), len(mt), n, n)
     step = max(1, _STEP_ENTRIES // (n * n))
-    for i, k in enumerate(np.asarray(ks, dtype=np.int64)):
-        row = k * s * perm.table
-        for j in range(0, len(m), step):
-            block = row + m[j : j + step] * t
-            grid[i, j : j + step] = np.remainder(block, n, out=block)
+    for i, k in enumerate(ks):
+        row = (np.multiply.outer(k * t, perm.table) % n).astype(work)
+        for j in range(0, len(mt), step):
+            x = row + mt[j : j + step]
+            np.minimum(x, x - n, out=grid[i, j : j + step])
     phases.setflags(write=False)  # handed over to a member or family without a copy
     return phases
 

@@ -14,10 +14,11 @@ arbitrary phase matrices, and the tests hold the two engines equal on
 constructed families. verify picks the engine for one scope.
 
 One FFT scan core (_scan) serves verify_ccc, verify_interset and
-delta_max_scan. It reads a family's (K, N, N) phase array a tile at a
-time into frequency-major (L, K, N) row spectra, L*K*N*16 bytes, and
-raises a QcssError up front for a scan that would not fit in physical
-memory.
+delta_max_scan. It holds the frequency-major (L, C, N) row spectra of C
+members, L*C*N*16 bytes: a second family, or the upper K - h members of a
+family against itself, h = 32 * floor(K / 64), and then its lower h. Other
+rows are streamed in tiles transformed from their phases. A scan that
+would not fit in physical memory raises a QcssError up front.
 Fixed tiles of 32 member rows bound the memory of one step and fix the
 reduction order; the argmax is the first maximum in ascending (first
 member, second member, shift) order. A family against itself computes
@@ -223,20 +224,28 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_scan_memory(members: int, n: int) -> int:
-    """Bytes an FFT scan over K = members members of modulus n holds: the
-    input phase arrays, K*N*N bytes of their dtype; the spectra, L*K*N*16;
-    per worker, a gathered member and a line buffer, N*(N+L)*16, and
-    numpy's iteration buffers for two complex operands; one tile's L*32*K
-    pair products, 16 bytes each, and the argmax search's mask over them,
-    1 byte each; and one buffer that holds the conjugated row block and
-    then the magnitudes, max(L*32*N*16, L*32*K*8). Raises QcssError, before
+def _half(members: int) -> int:
+    """Where a family scanned against itself is split: K/2 in whole tiles."""
+    return members // (2 * _TILE_ROWS) * _TILE_ROWS
+
+
+def check_scan_memory(members: int, n: int, columns: int | None = None) -> int:
+    """Bytes an FFT scan of K = members rows of modulus n holds, against
+    itself or a second family of columns members: the input phase arrays,
+    (K + columns)*N*N bytes of their dtype; the held spectra of C = columns
+    or K - _half(K) members, L*C*N*16; per worker, a gathered member and a
+    line buffer, N*(N+L)*16, and numpy's iteration buffers for two complex
+    operands; one tile's L*32*C pair products, 16 bytes each, and the argmax
+    search's mask over them, 1 byte each; and one buffer for the row block,
+    then the magnitudes, max(L*32*N*16, L*32*C*8). Raises QcssError, before
     the scan allocates anything, when that exceeds physical memory."""
+    held = members - _half(members) if columns is None else columns
+    members += columns or 0
     length = _fft_length(n)
     worker = (n * (n + length) + 2 * np.getbufsize()) * 16
-    tile = max(length * _TILE_ROWS * n * 16, length * _TILE_ROWS * members * 8)
-    need = members * n * n * _phase_dtype(n).itemsize + length * members * n * 16
-    need += _workers() * worker + length * _TILE_ROWS * members * 17 + tile
+    tile = max(length * _TILE_ROWS * n * 16, length * _TILE_ROWS * held * 8)
+    need = members * n * n * _phase_dtype(n).itemsize + length * held * n * 16
+    need += _workers() * worker + length * _TILE_ROWS * held * 17 + tile
     if need > (have := _physical_memory()):
         raise QcssError(
             f"FFT scan of {members} members at N={n} needs about {need} bytes "
@@ -315,20 +324,21 @@ def _one_scan_at_a_time():
             set_(saved)
 
 
-def _spectra(phases: np.ndarray, length: int) -> np.ndarray:
-    """Row spectra of a (K, N, N) phase array, frequency-major: C-contiguous
-    complex (L, K, N), spectra[f, u, s] = DFT of row s of member u at
-    frequency f. The members are split over the workers; each transforms
-    one member at a time into a private (N, L) line buffer, which stays in
-    cache while it is copied into place a row of N values at a time."""
-    n = phases.shape[-1]
+def _spectra(phases: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row spectra of a (K, N, N) phase array into out, frequency-major:
+    C-contiguous complex (L, K, N), out[f, u, s] = DFT of row s of member u
+    at frequency f. The members are split over the workers; each transforms
+    one member at a time in place in a private zero-padded (N, L) line buffer,
+    which stays in cache while it is copied into place N values at a time."""
+    n, length = phases.shape[-1], len(out)
     roots = roots_of_unity(n)
-    out = np.empty((length, *phases.shape[:2]), dtype=complex)
 
     def transform(a: int, b: int) -> None:
         lines = np.empty((n, length), dtype=complex)
         for u in range(a, b):
-            np.fft.fft(roots.take(phases[u]), n=length, axis=1, out=lines)
+            lines[:, :n] = roots.take(phases[u])
+            lines[:, n:] = 0.0
+            np.fft.fft(lines, axis=1, out=lines)
             out[:, u] = lines.T
 
     _split(len(phases), transform)
@@ -349,40 +359,55 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
     shifts 0..N-1, less the in-phase terms (u, u, 0): only the tiles rows
     [lo, hi) x columns [lo, K) are computed, over all 2N-1 shifts, and the
     pairs (u2 >= hi, u1) are read off R(u2, u1, tau) = conj R(u1, u2, -tau).
-    Otherwise it is every (row, column) pair over shifts -(N-1)..N-1.
+    The spectra of rows [h, K), h = _half(K), serve their own tiles and the
+    streamed tiles of [0, h), then those of [0, h) the rest. Otherwise the
+    domain is every (row, column) pair over shifts -(N-1)..N-1, cols held.
     tally(mags) sees the magnitudes of every part of every tile (in-phase
     terms read -1). Returns the largest magnitude and its first (u1, u2, tau).
     """
     n, length, mirror = rows.shape[-1], _fft_length(rows.shape[-1]), cols is None
-    check_scan_memory(len(rows) + (0 if mirror else len(cols)), n)
-    spectra = _spectra(rows, length)
-    other = spectra if mirror else _spectra(cols, length)
-    # One set of tile buffers, reused: no page faults on every tile. The
-    # conjugated row block is dead once the product is formed, so the
-    # magnitudes take its buffer.
-    w_buf = np.empty(length * _TILE_ROWS * other.shape[1], dtype=complex)
+    split = _half(len(rows)) if mirror else 0
+    held = rows[split:] if mirror else cols
+    check_scan_memory(len(rows), n, None if mirror else len(cols))
+    # One set of buffers, reused: no page faults on every tile. A streamed
+    # tile's spectra go straight into the row block, conjugated there. The
+    # row block is dead once the product is formed: the magnitudes take it.
+    spectra_buf = np.empty(length * len(held) * n, dtype=complex)
+    w_buf = np.empty(length * _TILE_ROWS * len(held), dtype=complex)
     tile_buf = np.empty(max(2 * length * _TILE_ROWS * n, w_buf.size))
+
+    def tiles():  # (lo, hi, held spectra, their first member) of each tile, in scan order
+        spectra = _spectra(held, _view(spectra_buf, (length, len(held), n)))
+        steps = [(split, len(rows), split), (0, split, split), (0, split, 0)] if mirror else [(0, len(rows), 0)]
+        for r0, r1, base in steps:
+            if base < split:  # every tile against [h, K) is done
+                spectra = _spectra(rows[:split], _view(spectra_buf, (length, split, n)))
+            for lo in range(r0, r1, _TILE_ROWS):
+                yield lo, min(lo + _TILE_ROWS, r1), spectra, base
+
     neg = length - n + 1  # the first row of w that holds a negative shift
     best, where = -np.inf, None
-    for lo in range(0, len(rows), _TILE_ROWS):
-        hi = min(lo + _TILE_ROWS, len(rows))
-        col0 = lo if mirror else 0
-        shape = (length, hi - lo, other.shape[1] - col0)
+    for lo, hi, spectra, base in tiles():
+        triangle = mirror and lo >= base  # the rows are held: columns from lo on
+        col0 = lo if triangle else base
+        shape = (length, hi - lo, base + spectra.shape[1] - col0)
         row_block = _view(tile_buf.view(complex), (length, hi - lo, n))
         w = _view(w_buf, shape)
+        source = spectra[:, lo - base : hi - base] if triangle else _spectra(rows[lo:hi], row_block)
 
         def product(a: int, b: int) -> None:
             """Frequencies [a, b): the conjugated row block times the columns."""
-            np.conjugate(spectra[a:b, lo:hi], out=row_block[a:b])
-            np.matmul(row_block[a:b], other[a:b, col0:].transpose(0, 2, 1), out=w[a:b])
+            np.conjugate(source[a:b], out=row_block[a:b])
+            np.matmul(row_block[a:b], spectra[a:b, col0 - base :].transpose(0, 2, 1), out=w[a:b])
 
         _split(length, product)
         mags = _view(tile_buf, shape)
         # Parts of the domain: (rows of w, first column, shift of each row,
         # whether the pair is read off its mirror).
         if mirror:
-            parts = [(0, n, 0, np.arange(n), False), (0, 1, hi - lo, np.zeros(1, dtype=int), True)]
-            parts.append((neg, length, hi - lo, np.arange(n - 1, 0, -1), True))
+            c0 = max(hi - col0, 0)  # the first column past the tile's rows
+            parts = [(0, n, 0, np.arange(n), False), (0, 1, c0, np.zeros(1, dtype=int), True)]
+            parts.append((neg, length, c0, np.arange(n - 1, 0, -1), True))
         else:
             parts = [(neg, length, 0, np.arange(1 - n, 0), False), (0, n, 0, np.arange(n), False)]
 
@@ -392,7 +417,7 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
             # w[j, i, c] = conj R(lo + i, col0 + c, tau) at j = tau mod L: the
             # row block is conjugated, so the shift sits at +tau, not -tau.
             np.abs(w[:, a:b], out=mags[:, a:b])
-            if mirror:
+            if triangle:
                 np.fill_diagonal(mags[0, a:b, a:], -1.0)  # the in-phase terms (u, u, 0)
             return [mags[j0:j1, a:b, c0:].max(initial=-np.inf) for j0, j1, c0, _, _ in parts]
 
@@ -682,7 +707,7 @@ def verify(scope: str, f: Factorization, e: int, *, tol: float | None = None, co
         raise OutOfRangeError(f"corrupt={corrupt!r} out of range: need 1 <= k < {p0} and 0 <= m, s, t < {n}")
     tol = 1e-6 * n if scope == "qcss" and tol is None else tol
     if corrupt:
-        check_scan_memory({"ccc": n, "interset": 2 * n}.get(scope, (p0 - 1) * n), n)
+        check_scan_memory((p0 - 1) * n if scope == "qcss" else n, n, n if scope == "interset" else None)
     perm = pi_perm(f, e)
     if not corrupt:
         if scope == "ccc":

@@ -64,7 +64,17 @@ class Permutation:
     table: np.ndarray
     inverse: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _adopt(cls, modulus: int, table: np.ndarray) -> Permutation:
+        """The permutation of a fresh int64 table that the package built and
+        nothing else holds: checked like any table, but not copied."""
+        perm = cls.__new__(cls)
+        object.__setattr__(perm, "modulus", modulus)
+        object.__setattr__(perm, "table", table)
+        perm.__post_init__(copy=False)
+        return perm
+
+    def __post_init__(self, copy: bool = True) -> None:
         n = self.modulus
         refused = ShapeMismatchError(f"table is not a bijection on Z_{n}")
         try:
@@ -74,7 +84,7 @@ class Permutation:
         # Entries in [0, n) before they index the inverse: a negative one would wrap.
         if given.dtype.kind not in "iu" or given.shape != (n,) or np.any((given < 0) | (given >= n)):
             raise refused
-        table = given.astype(np.int64)  # a copy: the caller's array is never aliased
+        table = given.astype(np.int64, copy=copy)  # the caller's array is never aliased
         inverse = np.full(n, -1, dtype=np.int64)
         inverse[table] = np.arange(n, dtype=np.int64)
         if np.any(inverse < 0):  # a repeated image leaves some preimage unset
@@ -177,12 +187,12 @@ def pi_perm(f: Factorization, e: int | None = None) -> Permutation:
     xi = power_perm(p_last, e).table
     i = np.arange(f.n, dtype=np.int64)
     last = i % p_last
-    # In place, and last freed before Permutation copies i: at the largest
+    # In place, and last freed before the inverse is built: at the largest
     # table modulus these N-length arrays set the peak memory.
     i -= last
     i += xi.take(last)
     del last
-    return Permutation(f.n, i)
+    return Permutation._adopt(f.n, i)
 
 
 def _check_modulus(f: Factorization, perm: Permutation) -> None:

@@ -307,8 +307,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("scope,members", [("ccc", 289), ("interset", 578), ("qcss", 4624)])
     def test_oversized_fft_scan_rejected(self, scope, members, monkeypatch, capsys):
-        # N = 289: L = 600; the pool needs about 14 GB. Nothing is built:
-        # the memory check comes before the permutation.
+        # N = 289: L = 600; the pool needs about 8.3 GB. Nothing is built:
+        # the memory check comes before the permutation. The scan holds
+        # the spectra of one family's upper 161 members, of the second
+        # family, or of the pool's upper 2320.
         monkeypatch.setattr(correlation, "_physical_memory", lambda: 2**20)
         monkeypatch.setattr(correlation, "pi_perm", lambda *a: pytest.fail("built past the memory check"))
         code, stdout, stderr = run_cli(
@@ -316,9 +318,10 @@ class TestVerify:
         )
         assert code == EXIT_BAD_ARGS
         assert stdout == ""
-        need = members * 289**2 * 2 + 600 * members * (16 * 289 + 17 * 32)
+        held = {"ccc": 161, "interset": 289, "qcss": 2320}[scope]
+        need = members * 289**2 * 2 + 600 * held * (16 * 289 + 17 * 32)
         need += correlation._workers() * (289 * (289 + 600) + 2 * 8192) * 16
-        need += max(600 * 32 * 289 * 16, 600 * 32 * members * 8)
+        need += max(600 * 32 * 289 * 16, 600 * 32 * held * 8)
         assert stderr.count("\n") == 1 and f"needs about {need} bytes" in stderr
 
 
@@ -408,6 +411,17 @@ class TestLoaders:
                 load_family_json(path)
         path.write_text("[1, 2]")
         with pytest.raises(QcssError, match="schema"):
+            load_family_json(path)
+
+    @pytest.mark.parametrize("where", ["n", "cell"])
+    def test_integer_beyond_the_digit_limit(self, where, perm15, tmp_path):
+        # json's int() refuses more than 4300 digits with a bare ValueError.
+        digits = "1" * 5000
+        text = json.dumps(self.bundle(perm15))
+        text = text.replace('"n": 15', f'"n": {digits}') if where == "n" else text.replace("[[0", f"[[{digits}", 1)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        with pytest.raises(QcssError, match=f"{path}: malformed file .*digits"):
             load_family_json(path)
 
     @pytest.mark.parametrize("key", ["n", "exponent", "kind", "members", "k", "m", "phases"])

@@ -186,6 +186,24 @@ class TestCompactPhases:
         assert corrupted.phases.dtype == np.uint8 and corrupted.phases[254, 0, 1] == 0
         assert np.count_nonzero(corrupted.phases != family.phases) == 1
 
+    @pytest.mark.parametrize("n", [255, 257])
+    def test_build_matches_closed_form_at_the_dtype_boundary(self, n):
+        """build_ccc and build_set against k*s*pi(t) + m*t (mod N) in int64,
+        for the largest family index, on both sides of the uint8 / uint16
+        phase boundary. The build sums its two residues in a type that
+        holds 2N - 2, uint16 at both moduli."""
+        f = factorize(n)
+        perm = pi_perm(f)
+        k = f.least_prime - 1
+        s, t = np.arange(n, dtype=np.int64)[:, None], np.arange(n, dtype=np.int64)
+        family = build_ccc(k, perm)
+        assert family.phases.dtype == np.min_scalar_type(n - 1)
+        for m in range(n):
+            want = (k * s * perm.table + m * t) % n
+            assert np.array_equal(family.phases[m], want), m
+            if m in (0, 1, n - 1):
+                assert np.array_equal(build_set(k, m, perm).phases, want), m
+
     @pytest.mark.parametrize("n,kind", [(105, "qcss"), (225, "ccc")])
     def test_build_holds_no_int64_array(self, n, kind):
         """The int64 array alone was K*N*N*8 bytes: 18.5 MB for the N = 105

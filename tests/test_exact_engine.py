@@ -319,7 +319,7 @@ def test_dispatch_refuses_unknown_scope(scope):
 
 @pytest.mark.parametrize("scope", ["ccc", "interset", "qcss"])
 def test_dispatch_checks_memory_before_building(scope, monkeypatch):
-    # N = 289: the corrupted pool's FFT scan needs about 15 GB. The memory
+    # N = 289: the corrupted pool's FFT scan needs about 8.3 GB. The memory
     # check comes before the permutation and every family.
     monkeypatch.setattr(correlation, "_physical_memory", lambda: 2**20)
     for name in ("pi_perm", "build_ccc", "build_qcss"):

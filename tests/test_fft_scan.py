@@ -2,7 +2,9 @@
 
 The families are seeded random phase matrices, not constructions, and
 hold more members than one scan tile (32 rows) without being a multiple of
-it, so full, partial and mirrored tiles all run.
+it, so full, partial and mirrored tiles all run. A family of K >= 64 is
+split at h = 32 * floor(K / 64): its tiles of rows [0, h) are transformed
+from their phases and scanned against the held spectra of rows [h, K).
 """
 
 import sys
@@ -32,10 +34,11 @@ from test_correlation import corrupt_one_entry
 # (N, K, seed, planted pair): a planted pair (y, x) makes member x member y
 # delayed by one step with every phase raised by 1, so the ordered pair
 # (y, x) at shift 1 reaches N * (N - 1), the largest magnitude in the
-# N = 5 family. There y = 35 sits in the second tile and x = 3 in the first,
-# so that maximum is read off its mirror. The N = 3 family has many exact
-# ties.
-FAMILIES = [(5, 40, 20261018, (35, 3)), (3, 33, 20261019, (1, 32))]
+# N = 5 families. In the first, y = 35 sits in the second tile and x = 3 in
+# the first, so that maximum is read off its mirror. The K = 97 family is
+# split at h = 32: y = 80 is held and x = 5 in a streamed tile. The N = 3
+# family has many exact ties.
+FAMILIES = [(5, 40, 20261018, (35, 3)), (3, 33, 20261019, (1, 32)), (5, 97, 20261020, (80, 5))]
 
 
 def random_phases(n, k, seed, plant=None):
@@ -118,15 +121,15 @@ def test_verify_ccc_matches_direct_sums(family):
 
 
 def test_mirrored_maximum_reports_its_own_pair():
-    n, k, seed, plant = FAMILIES[0]
-    members = random_members(n, k, seed, plant)
-    y, x = plant
-    want = set_xcorr(members[y], members[x], 1)
-    assert abs(want) == pytest.approx(n * (n - 1))
-    assert want.imag != pytest.approx(0.0, abs=1e-3)  # conj would show
-    report = verify_ccc(members)
-    assert report.argmax == (y, x, 1)
-    assert delta_max_scan(members).argmax == (y, x, 1)
+    for n, k, seed, plant in [params for params in FAMILIES if params[0] == 5]:
+        members = random_members(n, k, seed, plant)
+        y, x = plant
+        want = set_xcorr(members[y], members[x], 1)
+        assert abs(want) == pytest.approx(n * (n - 1))
+        assert want.imag != pytest.approx(0.0, abs=1e-3)  # conj would show
+        report = verify_ccc(members)
+        assert report.argmax == (y, x, 1)
+        assert delta_max_scan(members).argmax == (y, x, 1)
 
 
 def test_verify_interset_matches_direct_sums():
@@ -154,7 +157,7 @@ def test_corrupted_pool_maximum_is_a_direct_sum():
 
 
 def test_reports_do_not_depend_on_worker_count(monkeypatch):
-    # 3 workers cut a 32-row tile and the 40 or 33 members unevenly.
+    # 3 workers cut a 32-row tile and the 40, 33, 97 or 65 held members unevenly.
     families = [random_members(n, k, seed, plant) for n, k, seed, plant in FAMILIES]
     f1, f2 = interset_pair()
 
@@ -366,20 +369,47 @@ def test_scan_memory_within_estimate(monkeypatch):
 
 
 def test_memory_estimate(monkeypatch):
-    # The N = 289 pool: K = 4624 members, L = 600, on 3 workers. The uint16
-    # phase array; spectra; per worker a gathered member, a line buffer and
+    # The N = 289 pool: K = 4624 members, L = 600, on 3 workers, split at
+    # h = 2304. The uint16 phase array; the spectra of the 2320 members
+    # above h, held; per worker a gathered member, a line buffer and
     # numpy's iteration buffers (8192 elements for each of two complex
-    # operands); one tile's pair products and the argmax mask; and the
-    # buffer the conjugated row block and the magnitudes share.
+    # operands); one tile's pair products with the held members and the
+    # argmax mask; and the buffer that the row block, held or streamed, and
+    # the magnitudes share. Two families of 289 hold the second one's.
     monkeypatch.setattr(correlation, "_workers", lambda: 3)
-    need = 4624 * 289**2 * 2 + 600 * 4624 * 289 * 16
-    need += 3 * (289 * (289 + 600) + 2 * 8192) * 16 + 600 * 32 * 4624 * 17
-    need += max(600 * 32 * 289 * 16, 600 * 32 * 4624 * 8)
+    worker = 3 * (289 * (289 + 600) + 2 * 8192) * 16
+    need = 4624 * 289**2 * 2 + 600 * 2320 * 289 * 16 + worker + 600 * 32 * 2320 * 17
+    need += max(600 * 32 * 289 * 16, 600 * 32 * 2320 * 8)
+    pair = 578 * 289**2 * 2 + 600 * 289 * 289 * 16 + worker + 600 * 32 * 289 * 17 + 600 * 32 * 289 * 16
     monkeypatch.setattr(correlation, "_physical_memory", lambda: need)
     assert check_scan_memory(4624, 289) == need
+    assert check_scan_memory(289, 289, 289) == pair
     monkeypatch.setattr(correlation, "_physical_memory", lambda: need - 1)
     with pytest.raises(QcssError, match=f"needs about {need} bytes"):
         check_scan_memory(4624, 289)
+
+
+def test_split_matches_one_step(monkeypatch):
+    # The same reports, bit for bit, whether a family against itself is
+    # split or scanned in one step holding every member's spectra (h = 0):
+    # every value is computed in the same tile row either way. K = 65 splits
+    # at 32 with one member over, K = 97 at 32, K = 128 into halves at 64.
+    # Between two families the rows are always streamed, and h plays no
+    # part: verify_interset must come out the same under both.
+    families = [random_members(n, k, seed, plant) for n, k, seed, plant in FAMILIES if k >= 64]
+    families += [random_members(3, 65, 4), random_members(7, 128, 5)]
+    f1, f2 = interset_pair()
+
+    def reports():
+        out = [verify_interset(f1, f2)]
+        for members in families:
+            out += [delta_max_scan(members, histogram_bins=7), verify_ccc(members)]
+        return repr(out)  # repr keeps every bit of every float
+
+    assert [correlation._half(len(members)) for members in families] == [32, 32, 64]
+    split = reports()
+    monkeypatch.setattr(correlation, "_half", lambda members: 0)
+    assert reports() == split
 
 
 def test_scanners_refuse_before_allocating(monkeypatch):

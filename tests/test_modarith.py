@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -485,6 +486,28 @@ class TestPermutationType:
         given[:] = [0, 1, 2]
         assert perm.table.tolist() == [2, 0, 1]
         assert given.flags.writeable
+
+    def test_package_table_is_adopted_and_still_checked(self):
+        fresh = np.array([2, 0, 1], dtype=np.int64)
+        perm = Permutation._adopt(3, fresh)
+        assert perm.table is fresh and not fresh.flags.writeable
+        assert perm.inverse.tolist() == [1, 2, 0]
+        with pytest.raises(ShapeMismatchError):
+            Permutation._adopt(3, np.array([0, 0, 2], dtype=np.int64))
+
+    def test_pi_perm_peaks_at_three_tables(self):
+        # N = 255255 = 3*5*7*11*13*17. A copy of the finished table made
+        # the peak four N-length int64 arrays (7.79 MiB); building it takes three.
+        n = 255255
+        f = factorize(n)
+        pi_perm(f)  # first use: the power map of the last prime
+        tracemalloc.start()
+        try:
+            pi_perm(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * 8
 
     @pytest.mark.parametrize("n", [15, 33, 101])
     def test_inverse_undoes_table(self, n):
