@@ -32,9 +32,9 @@ from .bounds import (
     QcssParams,
 )
 from .codebook import PhaseMatrix, SequenceFamily, build_set
-from .codebook import _check_family_indices, _check_in_range
+from .codebook import _check_family_indices, _check_in_range, _phase_dtype, _steps
 from .errors import OutOfRangeError, PreconditionViolatedError, QcssError
-from .modarith import default_exponent, factorize, pi_perm, power_perm, verify_unique_solution
+from .modarith import Factorization, default_exponent, factorize, pi_perm, power_perm, verify_unique_solution
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -52,18 +52,33 @@ _CSV_ROWS = dict(delimiter=",", dtype=np.int64, comments="#", ndmin=2)
 # serialization
 
 
-def _rows(mat: PhaseMatrix, sep: str) -> list[str]:
-    """The rows of mat as text, their cells joined by sep. Each cell is
-    looked up in a table of the N decimal strings, so the text is exactly
-    that of str() on every entry."""
-    tokens = np.array([str(v) for v in range(mat.n)], dtype=object)
-    return list(map(sep.join, tokens[mat.phases].tolist()))
+@functools.lru_cache(maxsize=4)  # the CSV and the JSON tables of two moduli
+def _tokens(n: int, sep: str, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two tables of the N decimal strings, each followed by sep in the
+    first and by end in the second, as NUL-padded bytes of one width. Built
+    once per modulus and separator, not per matrix, and read-only, as every
+    caller shares them."""
+    digits = [str(v) for v in range(n)]
+    width = len(digits[-1]) + max(len(sep), len(end))
+    tables = tuple(np.array([(d + tail).encode() for d in digits], dtype=f"S{width}") for tail in (sep, end))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _rows_text(mat: PhaseMatrix, sep: str, end: str) -> str:
+    """The rows of mat as text: every cell is str() of its value followed by
+    sep, or by end in the last column. The cells' tokens are taken from the
+    tables of _tokens and their bytes joined with the NUL padding dropped."""
+    cells, ends = _tokens(mat.n, sep, end)
+    text = cells.take(mat.phases)
+    text[:, -1] = ends.take(mat.phases[:, -1])
+    return text.tobytes().translate(None, b"\0").decode()
 
 
 def matrix_to_csv_text(mat: PhaseMatrix, exponent: int) -> str:
     """Row-major integer CSV with a one-line metadata header."""
-    lines = [f"# N={mat.n}, k={mat.k}, m={mat.m}, e={exponent}", *_rows(mat, ",")]
-    return "\n".join(lines) + "\n"
+    return f"# N={mat.n}, k={mat.k}, m={mat.m}, e={exponent}\n" + _rows_text(mat, ",", "\n")
 
 
 def _member_phases(cells) -> np.ndarray:
@@ -176,9 +191,9 @@ def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
 
 
 def _member_text(u: int, mat: PhaseMatrix) -> str:
-    """json.dumps of member u's record in family_to_json_obj, written from
-    the decimal strings of _rows; generate streams one at a time."""
-    rows = "], [".join(_rows(mat, ", "))
+    """json.dumps of member u's record in family_to_json_obj, written by
+    _rows_text; generate streams one at a time."""
+    rows = _rows_text(mat, ", ", "], [")[: -len("], [")]
     return f'{{"u": {u}, "k": {mat.k}, "m": {mat.m}, "phases": [[{rows}]]}}'
 
 
@@ -340,28 +355,32 @@ def _parse_corrupt(raw: str) -> tuple[int, int, int, int]:
     return k, m, s, t
 
 
-def _cmd_generate(args) -> int:
+def _modulus(args) -> tuple[Factorization, int, int, int]:
+    """factorize(--n), N, p0 and the exponent: --exponent, or the smallest admissible one."""
     f = factorize(args.n)
-    n, p0 = f.n, f.least_prime
+    return f, f.n, f.least_prime, default_exponent(f.largest_prime) if args.exponent is None else args.exponent
+
+
+def _cmd_generate(args) -> int:
+    f, n, p0, e = _modulus(args)
     if args.m is not None and args.k is None:
         raise QcssError("--m requires --k")
     if args.k is not None:  # checked before the permutation table: 6.2 TiB at N = 3^25
         _check_family_indices(n, args.k)
     if args.m is not None:
         _check_in_range(n, m=args.m)
-    e = default_exponent(f.largest_prime) if args.exponent is None else args.exponent
     perm = pi_perm(f, e)
 
-    if args.k is not None and args.m is not None:
-        kind, labels = "set", [(args.k, args.m)]
-    elif args.k is not None:
-        kind, labels = "ccc", [(args.k, m) for m in range(n)]
-    else:
-        kind, labels = "qcss", [(k, m) for k in range(1, p0) for m in range(n)]
-    # Exports are written set by set, so the sets are built one at a time: a
-    # CSV or JSON export holds one N x N matrix and its text, never a whole
+    kind = "qcss" if args.k is None else "ccc" if args.m is None else "set"
+    ks = range(1, p0) if args.k is None else [args.k]
+    ms = range(n) if args.m is None else [args.m]
+    labels = [(k, m) for k in ks for m in ms]
+    # Exports are written set by set, each built into one N x N buffer: a
+    # CSV or JSON export holds one matrix and its text, never a whole
     # (K, N, N) family or its nested lists.
-    sets = (build_set(k, m, perm) for k, m in labels)
+    buffer = np.empty((1, n, n), dtype=_phase_dtype(n))
+    steps = _steps(perm, ks, ms, 1, lambda i, j, count: buffer)
+    sets = (PhaseMatrix._view(n, k, m, phases[0]) for (k, m), phases in zip(labels, steps))
 
     out = Path(args.out)
     if args.format == "json":
@@ -413,14 +432,12 @@ _VERIFY_LINES = {
 
 
 def _cmd_verify(args) -> int:
-    f = factorize(args.n)
-    n, p0 = f.n, f.least_prime
+    f, n, p0, e = _modulus(args)
     if args.tol is not None and not 0 <= args.tol < float("inf"):
         raise QcssError(f"--tol must be finite and >= 0, got {args.tol}")
     corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
     if corrupt and args.scope == "permutation":
         raise QcssError("--corrupt needs a correlation scope: ccc, interset or qcss")
-    e = default_exponent(f.largest_prime) if args.exponent is None else args.exponent
     payload: dict = {"n": n, "p0": p0, "exponent": e, "scope": args.scope}
 
     if args.scope == "permutation":

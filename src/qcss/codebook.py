@@ -168,26 +168,34 @@ class SequenceFamily:
 _STEP_ENTRIES = 1 << 20
 
 
-def _broadcast(perm: Permutation, ks: Sequence[int], ms: Sequence[int]) -> np.ndarray:
-    """(len(ks) * len(ms), N, N) phases k*s*pi(t) + m*t (mod N), k-major:
-    the set (ks[i], ms[j]) sits at i * len(ms) + j. k*s*pi(t) mod N is
-    computed once per k and m*t mod N once, both in the smallest unsigned
-    type that holds 2N - 2. A few sets at a time, at most _STEP_ENTRIES
-    entries per step, their sum x is reduced to min(x, x - N), where x - N
-    wraps above x unless x >= N, and written into the compact array, so no
-    (K, N, N) int64 array is allocated."""
+def _steps(perm: Permutation, ks: Sequence[int], ms: Sequence[int], step: int, out) -> Iterator[np.ndarray]:
+    """The phases k*s*pi(t) + m*t (mod N) of the sets (ks[i], ms[j]),
+    k-major, up to step sets of one k at a time: the sets (ks[i], ms[j :
+    j + count]) are written into out(i, j, count), a (count, N, N) array of
+    the phase dtype, which is then yielded. k*s*pi(t) mod N is computed once
+    per k and m*t mod N once, both in the smallest unsigned type that holds
+    2N - 2; their sum x is reduced to min(x, x - N), where x - N wraps above
+    x unless x >= N, so no (K, N, N) int64 array is allocated."""
     n = perm.modulus
     work = np.min_scalar_type(2 * n - 2)
     t = np.arange(n, dtype=np.int64)
     mt = (np.multiply.outer(ms, t) % n).astype(work)[:, None]
-    phases = np.empty((len(ks) * len(mt), n, n), dtype=_phase_dtype(n))
-    grid = phases.reshape(len(ks), len(mt), n, n)
-    step = max(1, _STEP_ENTRIES // (n * n))
     for i, k in enumerate(ks):
         row = (np.multiply.outer(k * t, perm.table) % n).astype(work)
         for j in range(0, len(mt), step):
             x = row + mt[j : j + step]
-            np.minimum(x, x - n, out=grid[i, j : j + step])
+            yield np.minimum(x, x - n, out=out(i, j, len(x)))
+
+
+def _broadcast(perm: Permutation, ks: Sequence[int], ms: Sequence[int]) -> np.ndarray:
+    """(len(ks) * len(ms), N, N) phases k*s*pi(t) + m*t (mod N), k-major:
+    the set (ks[i], ms[j]) sits at i * len(ms) + j. _steps writes them into
+    the compact array, at most _STEP_ENTRIES entries per step."""
+    n = perm.modulus
+    phases = np.empty((len(ks) * len(ms), n, n), dtype=_phase_dtype(n))
+    grid = phases.reshape(len(ks), len(ms), n, n)
+    for _ in _steps(perm, ks, ms, max(1, _STEP_ENTRIES // (n * n)), lambda i, j, count: grid[i, j : j + count]):
+        pass
     phases.setflags(write=False)  # handed over to a member or family without a copy
     return phases
 

@@ -50,6 +50,7 @@ import itertools
 import math
 import os
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -443,6 +444,15 @@ def _scan(rows: np.ndarray, cols: np.ndarray | None = None, tally=None):
     return best, where
 
 
+def _slabs(mags: np.ndarray) -> Iterator[np.ndarray]:
+    """A part of a tile in 16 slabs of shifts, for a tally that makes
+    temporaries. Taken whole, a part's temporaries would lie beyond
+    check_scan_memory; a slab's, at 8 bytes a value, fit in the argmax
+    mask's bytes, which are free while a tally runs."""
+    step = -(-len(mags) // 16)
+    return (mags[j : j + step] for j in range(0, len(mags), step))
+
+
 def _phase_array(family) -> np.ndarray:
     """The (K, N, N) phase array of a SequenceFamily, or of a plain
     sequence of PhaseMatrix over one modulus."""
@@ -495,10 +505,14 @@ def verify_interset(f1: SequenceFamily, f2: SequenceFamily, tol: float | None = 
     n = f1.n
     if tol is None:
         tol = 1e-6 * n
-    worst = [0.0]  # distance to the nearer of {0, N}, per part
-    max_mag, argmax = _scan(
-        f1.phases, f2.phases, lambda mags: worst.append(np.minimum(mags, np.abs(mags - n)).max())
-    )
+    worst = [0.0]  # distance to the nearer of {0, N}, per slab
+
+    def tally(mags: np.ndarray) -> None:
+        for slab in _slabs(mags):
+            gap = slab - n  # the slab's one temporary
+            worst.append(np.minimum(np.abs(gap, out=gap), slab, out=gap).max())
+
+    max_mag, argmax = _scan(f1.phases, f2.phases, tally)
     dichotomy = float(max(worst))
     ok = max_mag <= n + tol
     return IntersetReport(ok, n, f1.k, f2.k, tol, max_mag, argmax, dichotomy <= tol, dichotomy)
@@ -520,13 +534,8 @@ def delta_max_scan(family, tol: float | None = None, histogram_bins: int = 0) ->
     counts = np.zeros(histogram_bins, dtype=np.int64)
 
     def tally(mags: np.ndarray) -> None:
-        # np.histogram copies a view that is not contiguous. Taken whole, a
-        # part of a tile would be copied beyond check_scan_memory; in 16
-        # slabs of shifts, a slab's copy fits in the argmax mask's bytes,
-        # which are free while tally runs.
-        step = -(-len(mags) // 16)
-        for j in range(0, len(mags), step):
-            counts[:] += np.histogram(mags[j : j + step], bins=edges)[0]  # the -1 in-phase terms fall outside
+        for slab in _slabs(mags):  # np.histogram copies a view that is not contiguous
+            counts[:] += np.histogram(slab, bins=edges)[0]  # the -1 in-phase terms fall outside
 
     delta_max, argmax = _scan(phases, tally=tally if histogram_bins else None)
     histogram = (counts, edges) if histogram_bins else None

@@ -80,6 +80,28 @@ def test_csv_text_is_str_of_every_cell(mat, exponent):
     assert matrix_to_csv_text(mat, exponent) == per_cell_csv(mat, exponent)
 
 
+@pytest.mark.parametrize("n", [105, 1001])
+def test_csv_text_at_wider_tokens(n):
+    """3- and 4-digit cells, the latter in uint16: the hypothesis moduli
+    stop at N = 25. Every token width of the table shows up."""
+    phases = np.random.default_rng(n).integers(0, n, (n, n))
+    phases[0, :6] = [0, 9, 10, 99, 100, n - 1]
+    mat = PhaseMatrix(n, 1, n - 1, phases)
+    assert matrix_to_csv_text(mat, 5) == per_cell_csv(mat, 5)
+
+
+def test_generated_csv_directory_is_str_of_every_cell(tmp_path):
+    """Every file of a --k export at N = 105 is the per-cell text of its set."""
+    f = factorize(105)
+    e = default_exponent(f.largest_prime)
+    perm = pi_perm(f, e)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--n", "105", "--k", "2", "--out", str(tmp_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(f"n105_k2_m{m}.csv" for m in range(105))
+    for m in range(105):
+        assert (tmp_path / f"n105_k2_m{m}.csv").read_text() == per_cell_csv(build_set(2, m, perm), e)
+
+
 @PROPERTY
 @given(phase_matrix(), st.data())
 def test_csv_round_trip(mat, data):
@@ -171,7 +193,7 @@ def generate_json(path, n, *selection):
         assert main(["generate", "--n", str(n), "--format", "json", "--out", str(path), *selection]) == 0
 
 
-@pytest.mark.parametrize("n", [15, 35])
+@pytest.mark.parametrize("n", [15, 35, 121])
 @pytest.mark.parametrize("kind", ["qcss", "ccc", "set"])
 def test_generated_json_is_one_dumps_of_the_bundle(kind, n, tmp_path):
     """The streamed export writes the bytes of one json.dumps of the whole bundle."""

@@ -7,6 +7,7 @@ split at h = 32 * floor(K / 64): its tiles of rows [0, h) are transformed
 from their phases and scanned against the held spectra of rows [h, K).
 """
 
+import functools
 import sys
 import threading
 import time
@@ -19,6 +20,7 @@ from qcss import (
     PhaseMatrix,
     QcssError,
     SequenceFamily,
+    build_ccc,
     build_qcss,
     delta_max_scan,
     factorize,
@@ -345,26 +347,32 @@ def test_split_starts_no_thread_with_one_worker(monkeypatch):
 
 
 def test_scan_memory_within_estimate(monkeypatch):
-    # (N, K, histogram bins). The histogram tally must not copy a whole
-    # part of the tile: at N = 63 such a copy lifts the peak above the
-    # estimate.
+    # (scan, the check_scan_memory arguments of its domain, the bytes its
+    # input arrays add to the traced peak). Neither the histogram tally nor
+    # the inter-set tally may make temporaries the size of a whole part of
+    # the tile: at N = 63 they lift the peak above the estimate.
+    perm = pi_perm(factorize(63), 5)
+    families = build_ccc(1, perm), build_ccc(2, perm)  # built before tracing: add their bytes
+    cases = [(lambda: verify_interset(*families), (63, 63, 63), 2 * 63**3)]
     for n, k, bins in [(45, 60, 0), (63, 126, 7)]:
         members = random_members(n, k, 11)
         stack = k * n * n * 8  # the (K, N, N) phase array a member list is stacked into
-        delta_max_scan(members[:2], histogram_bins=bins)  # first use: numpy.fft imports its modules
+        cases.append((functools.partial(delta_max_scan, members, histogram_bins=bins), (k, n), -stack))
+    for scan, domain, inputs in cases:
+        scan()  # first use: numpy.fft imports its modules
 
         def peak(workers):
             monkeypatch.setattr(correlation, "_workers", lambda: workers)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                delta_max_scan(members, histogram_bins=bins)
+                scan()
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
 
         one, two = peak(1), peak(2)
-        assert two - stack <= check_scan_memory(k, n), (n, k, bins)
+        assert two + inputs <= check_scan_memory(*domain), domain
         assert abs(two - one) <= 2**20
 
 
