@@ -69,66 +69,13 @@ from .modarith import (
     verify_unique_solution,
 )
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # modarith
-    "Factorization",
-    "Permutation",
-    "UniqueSolutionReport",
-    "factorize",
-    "power_perm",
-    "default_exponent",
-    "pi_perm",
-    "verify_unique_solution",
-    # codebook
-    "PhaseMatrix",
-    "SequenceFamily",
-    "phase",
-    "build_set",
-    "build_ccc",
-    "build_qcss",
-    # correlation
-    "CorrelationProfile",
-    "CorrelationReport",
-    "CccReport",
-    "IntersetReport",
-    "roots_of_unity",
-    "rows_to_complex",
-    "aperiodic_xcorr",
-    "xcorr_all_shifts_fft",
-    "set_xcorr",
-    "set_xcorr_profile",
-    "verify_ccc",
-    "verify_interset",
-    "delta_max_scan",
-    "verify_ccc_exact",
-    "verify_intersets_exact",
-    "delta_max_exact",
-    "verify",
-    # bounds
-    "QcssParams",
-    "OptimalityReport",
-    "TableRow",
-    "welch_bound",
-    "liu_bound",
-    "optimality_factor",
-    "theoretical_params",
-    "table_rows",
-    "format_rho",
-    # errors
-    "QcssError",
-    "EvenModulusError",
-    "ModulusTooSmallError",
-    "OutOfRangeError",
-    "ShapeMismatchError",
-    "NotPrimeError",
-    "NotCoprimeError",
-    "BadFamilyIndexError",
-    "ShiftOutOfRangeError",
-    "LengthMismatchError",
-    "FamilyMismatchError",
-    "DegenerateParamsError",
-    "PreconditionViolatedError",
+# Every name the imports above bind, less the submodules they bind as well.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]
+
+del _ModuleType

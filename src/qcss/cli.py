@@ -435,7 +435,7 @@ def _cmd_verify(args) -> int:
     f, n, p0, e = _modulus(args)
     if args.tol is not None and not 0 <= args.tol < float("inf"):
         raise QcssError(f"--tol must be finite and >= 0, got {args.tol}")
-    corrupt = _parse_corrupt(args.corrupt) if args.corrupt else None
+    corrupt = None if args.corrupt is None else _parse_corrupt(args.corrupt)
     if corrupt and args.scope == "permutation":
         raise QcssError("--corrupt needs a correlation scope: ccc, interset or qcss")
     payload: dict = {"n": n, "p0": p0, "exponent": e, "scope": args.scope}

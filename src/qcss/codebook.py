@@ -14,14 +14,13 @@ complex values are materialized only by the correlation engine.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
 from .errors import BadFamilyIndexError, OutOfRangeError, ShapeMismatchError
-from .modarith import Factorization, Permutation, _check_modulus, factorize
+from .modarith import Factorization, Permutation, _check_modulus, _is_index, factorize
 
 FamilyKind = Literal["ccc", "qcss"]
 
@@ -54,12 +53,6 @@ def _checked_phases(phases, shape: tuple[int, ...], n: int) -> np.ndarray:
     array = array.astype(_phase_dtype(n), order="C", copy=copy)
     array.setflags(write=False)
     return array
-
-
-def _is_index(value) -> bool:
-    """An integer that is not a bool: 1.5 or True would pass a range check
-    and label a set whose phases are those of another index."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_family_indices(n: int, *ks: int) -> Factorization:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices, _is_index, _phase_dtype, build_ccc, build_qcss
+from .codebook import PhaseMatrix, SequenceFamily, _check_family_indices, _phase_dtype, build_ccc, build_qcss
 from .errors import (
     FamilyMismatchError,
     LengthMismatchError,
@@ -64,7 +64,7 @@ from .errors import (
     QcssError,
     ShiftOutOfRangeError,
 )
-from .modarith import RATIO_CHUNK, Factorization, Permutation, _check_modulus, pi_perm, shift_extremes
+from .modarith import Factorization, Permutation, _check_modulus, _is_index, pi_perm, shift_extremes
 
 _ROOT_TABLES: dict[int, np.ndarray] = {}
 
@@ -583,8 +583,7 @@ def _pair_blocks(n: int, families: int):
 def _pair_table(n: int, families: int, perm: Permutation) -> np.ndarray:
     """(N, 4) int64: row c holds shift_extremes of c for every class c of
     a pair of distinct families, and -1 in every other row (class 1
-    included). Each class pair {c, c^-1} is counted once, in chunks of
-    RATIO_CHUNK."""
+    included). Each class pair {c, c^-1} is counted once."""
     present = np.zeros(n, dtype=bool)
     for _, block in _pair_blocks(n, families):
         present[block] = True
@@ -594,10 +593,9 @@ def _pair_table(n: int, families: int, perm: Permutation) -> np.ndarray:
     reps, at = np.unique(np.minimum(ratios, inverses), return_index=True)
     mates = np.maximum(ratios, inverses)[at]
     table = np.full((n, 4), -1, dtype=np.int64)
-    for lo in range(0, len(reps), RATIO_CHUNK):
-        direct, mirrored = shift_extremes(perm, reps[lo : lo + RATIO_CHUNK])
-        table[mates[lo : lo + RATIO_CHUNK]] = mirrored
-        table[reps[lo : lo + RATIO_CHUNK]] = direct
+    direct, mirrored = shift_extremes(perm, reps)
+    table[mates] = mirrored
+    table[reps] = direct
     return table
 
 

@@ -16,6 +16,8 @@ element by element and holds pi_perm to it.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -29,8 +31,8 @@ from .errors import (
     ShapeMismatchError,
 )
 
-# Ratios per shift_extremes call: bounds one chunk's (R, 2N-1) count table,
-# 17.7 MB at N = 8633.
+# Ratios per chunk of _shift_counts: bounds one chunk's (R, 2N-1) count
+# table, 17.7 MB at N = 8633.
 RATIO_CHUNK = 128
 
 
@@ -106,9 +108,16 @@ class UniqueSolutionReport:
     violations: tuple[tuple[int, int, int], ...]  # (tau, c, solution_count)
 
 
+def _is_index(value) -> bool:
+    """An integer that is not a bool: 1.5 or True would pass a range check
+    and stand for another integer (True for 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def is_odd_prime(p: int) -> bool:
-    """Trial-division primality check, restricted to odd primes."""
-    if p < 3 or p % 2 == 0:
+    """Trial-division primality check, restricted to odd primes: False for
+    anything that is not an integer, a bool included."""
+    if not _is_index(p) or p < 3 or p % 2 == 0:
         return False
     d = 3
     while d * d <= p:
@@ -121,8 +130,12 @@ def is_odd_prime(p: int) -> bool:
 def factorize(n: int) -> Factorization:
     """Factor an odd modulus n >= 3 by trial division.
 
-    Deterministic and canonical: primes come out ascending.
+    Deterministic and canonical: primes come out ascending. A non-integer
+    or bool n raises EvenModulusError: it is not an odd integer.
     """
+    if not _is_index(n):
+        raise EvenModulusError(f"modulus must be an odd integer >= 3, got {n!r}")
+    n = int(n)  # a NumPy integer would carry its type into the primes
     if n < 3:
         raise ModulusTooSmallError(f"modulus must be odd and >= 3, got {n}")
     if n % 2 == 0:
@@ -153,10 +166,11 @@ def power_perm(p: int, e: int) -> Permutation:
     """
     if not is_odd_prime(p):
         raise NotPrimeError(f"{p} is not an odd prime")
-    if e < 1:
-        raise NotCoprimeError(f"exponent must be a positive integer, got {e}")
+    if not _is_index(e) or e < 1:
+        raise NotCoprimeError(f"exponent must be a positive integer, got {e!r}")
     if gcd(p - 1, e) != 1:
         raise NotCoprimeError(f"gcd({p} - 1, {e}) = {gcd(p - 1, e)} != 1")
+    p, e = int(p), int(e)  # three-argument pow refuses NumPy integers
     return Permutation(p, [pow(x, e, p) for x in range(p)])
 
 
@@ -211,41 +225,44 @@ def partner_map(perm: Permutation, c) -> np.ndarray:
     return perm.inverse[np.remainder(images, perm.modulus, out=images)]
 
 
-def _shift_counts(perm: Permutation, ratios) -> np.ndarray:
-    """|S_tau| = #{t : t' - t = tau}, t' the partner of t under each ratio,
-    for tau = -(N-1)..N-1: (R, 2N-1), tau at column tau + N - 1."""
+def _shift_counts(perm: Permutation, ratios) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ratios in chunks of at most RATIO_CHUNK, each with its shift
+    counts |S_tau| = #{t : t' - t = tau}, t' the partner of t under each
+    ratio, for tau = -(N-1)..N-1: (R, 2N-1), tau at column tau + N - 1."""
     n, span = perm.modulus, 2 * perm.modulus - 1
-    index = partner_map(perm, ratios)
-    index += (n - 1) - np.arange(n) + span * np.arange(len(index))[:, None]
-    return np.bincount(index.ravel(), minlength=span * len(index)).reshape(-1, span)
+    ratios = np.asarray(ratios, dtype=np.int64)
+    for lo in range(0, len(ratios), RATIO_CHUNK):
+        chunk = ratios[lo : lo + RATIO_CHUNK]
+        index = partner_map(perm, chunk)
+        index += (n - 1) - np.arange(n) + span * np.arange(len(index))[:, None]
+        yield chunk, np.bincount(index.ravel(), minlength=span * len(index)).reshape(-1, span)
 
 
 def shift_extremes(perm: Permutation, ratios) -> np.ndarray:
-    """The shift counts |S_tau| of a chunk of unit ratios c, reduced: (2, R, 4).
+    """The shift counts |S_tau| of any number of unit ratios c, reduced: (2, R, 4).
 
     Row [0, i] is (max |S_tau| over tau >= 0, the first such tau, max over
     tau <= 0, the first such tau) for c = ratios[i], "first" in ascending
     tau. Row [1, i] is the same for c^-1, read off the mirror: t' is the
     c-partner of t exactly when t is the c^-1-partner of t', so
     |S_tau(c^-1)| = |S_-tau(c)| and the pair {c, c^-1} is counted once.
-    A chunk holds at most RATIO_CHUNK ratios, which bounds its (R, 2N-1)
-    count table.
+    The counts are taken RATIO_CHUNK ratios at a time (_shift_counts).
     """
-    if len(ratios) > RATIO_CHUNK:
-        raise ShapeMismatchError(f"{len(ratios)} ratios in one chunk, at most {RATIO_CHUNK}")
     n = perm.modulus
-    counts = _shift_counts(perm, ratios)
-    # tau >= 0 and tau <= 0 for c, then for c^-1 (counts reversed); each
-    # view runs in ascending tau, so its argmax is the first maximum.
-    views = (counts[:, n - 1 :], counts[:, :n], counts[:, n - 1 :: -1], counts[:, : n - 2 : -1])
-    first = [view.argmax(axis=1) for view in views]
-    peak = [np.take_along_axis(view, at[:, None], axis=1)[:, 0] for view, at in zip(views[:2], first)]
-    first[1] -= n - 1
-    first[3] -= n - 1
-    return np.stack(
-        [np.stack([peak[0], first[0], peak[1], first[1]], axis=-1),
-         np.stack([peak[1], first[2], peak[0], first[3]], axis=-1)]
-    )
+    chunks = [np.zeros((2, 0, 4), dtype=np.int64)]  # no ratios: (2, 0, 4)
+    for _, counts in _shift_counts(perm, ratios):
+        # tau >= 0 and tau <= 0 for c, then for c^-1 (counts reversed); each
+        # view runs in ascending tau, so its argmax is the first maximum.
+        views = (counts[:, n - 1 :], counts[:, :n], counts[:, n - 1 :: -1], counts[:, : n - 2 : -1])
+        first = [view.argmax(axis=1) for view in views]
+        peak = [np.take_along_axis(view, at[:, None], axis=1)[:, 0] for view, at in zip(views[:2], first)]
+        first[1] -= n - 1
+        first[3] -= n - 1
+        chunks.append(np.stack(
+            [np.stack([peak[0], first[0], peak[1], first[1]], axis=-1),
+             np.stack([peak[1], first[2], peak[0], first[3]], axis=-1)]
+        ))
+    return np.concatenate(chunks, axis=1)
 
 
 def verify_unique_solution(f: Factorization, perm: Permutation) -> UniqueSolutionReport:
@@ -263,9 +280,7 @@ def verify_unique_solution(f: Factorization, perm: Permutation) -> UniqueSolutio
     _check_modulus(f, perm)
     n, p0 = f.n, f.least_prime
     found = []
-    for lo in range(2, p0, RATIO_CHUNK):
-        cs = np.arange(lo, min(lo + RATIO_CHUNK, p0))
-        counts = _shift_counts(perm, cs)
+    for cs, counts in _shift_counts(perm, np.arange(2, p0)):
         cyclic = counts[:, n - 1 :]  # tau = 0..N-1
         cyclic[:, 1:] += counts[:, : n - 1]  # tau - N = -(N-1)..-1
         rows, taus = np.nonzero(cyclic != 1)

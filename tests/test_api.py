@@ -1,6 +1,8 @@
 """The public surface: qcss.__all__ names exactly what the package exports."""
 
+import ast
 import types
+from pathlib import Path
 
 import qcss
 
@@ -22,6 +24,19 @@ def test_every_public_binding_is_listed():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert bound - set(qcss.__all__) == set()
+
+
+def test_all_is_what_the_package_imports_bind():
+    # Read off the source: a stray helper, or a __future__ import, that the
+    # computed __all__ took up would show here.
+    tree = ast.parse(Path(qcss.__file__).read_text(encoding="utf-8"))
+    bound = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert sorted(qcss.__all__) == sorted(["__version__", *bound])
 
 
 def test_removed_names_are_gone():

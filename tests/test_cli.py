@@ -202,6 +202,14 @@ class TestVerify:
         assert code == EXIT_BAD_ARGS
         assert "--corrupt" in stderr
 
+    @pytest.mark.parametrize("argv", [("--corrupt", ""), ("--corrupt=",)], ids=["separate", "joined"])
+    def test_empty_corrupt_refused(self, argv, capsys):
+        # An empty value ran the clean exact engine and exited 0.
+        code, stdout, stderr = run_cli("verify", "--n", "15", "--scope", "qcss", *argv, capsys=capsys)
+        assert code == EXIT_BAD_ARGS
+        assert stdout == ""
+        assert stderr.count("\n") == 1 and "--corrupt" in stderr
+
     def test_interset_corruption_fails(self, capsys):
         code, stdout, _ = run_cli(
             "verify", "--n", "15", "--scope", "interset", "--corrupt", "2,4,0,6", capsys=capsys

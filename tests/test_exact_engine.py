@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qcss import (
     BadFamilyIndexError,
+    NotCoprimeError,
     Permutation,
     QcssError,
     SequenceFamily,
@@ -29,7 +30,7 @@ from qcss import (
     verify_interset,
     verify_intersets_exact,
 )
-from qcss import correlation
+from qcss import correlation, modarith
 from qcss.cli import main
 from qcss.correlation import CorrelationReport, IntersetReport
 from qcss.modarith import partner_map
@@ -248,7 +249,7 @@ def test_many_chunks(n, seed, monkeypatch):
     # Chunks of 4 ratio classes and blocks of one family row: many of each,
     # as at prime N > 257 (chunks) and N > 1025 (blocks). At N = 45 the
     # first maximum sits in the second row.
-    monkeypatch.setattr(correlation, "RATIO_CHUNK", 4)
+    monkeypatch.setattr(modarith, "RATIO_CHUNK", 4)
     monkeypatch.setattr(correlation, "_PAIR_BLOCK", 1)
     f = factorize(n)
     perm = random_bijection(n, seed)
@@ -343,6 +344,13 @@ def test_dispatch_refuses_corrupt_out_of_range(scope, corrupt, monkeypatch):
     refuse_tables(monkeypatch)
     with pytest.raises(QcssError, match="out of range"):
         verify(scope, factorize(15), 3, corrupt=corrupt)
+
+
+@pytest.mark.parametrize("e", [2.0, True])
+def test_dispatch_refuses_exponent_that_is_no_integer(e):
+    # 2.0 raised a bare TypeError, and True ran as e = 1 and reported ok.
+    with pytest.raises(NotCoprimeError, match="exponent must be a positive integer"):
+        verify("qcss", factorize(15), e)
 
 
 @settings(max_examples=60, deadline=None)

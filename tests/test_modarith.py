@@ -24,7 +24,7 @@ from qcss import (
 )
 from qcss.bounds import table_rows
 from qcss.codebook import phase
-from qcss.modarith import RATIO_CHUNK, UniqueSolutionReport, partner_map, shift_extremes
+from qcss.modarith import RATIO_CHUNK, UniqueSolutionReport, is_odd_prime, partner_map, shift_extremes
 
 ODD_SWEEP = list(range(3, 226, 2))
 
@@ -119,6 +119,19 @@ class TestFactorize:
         with pytest.raises(ModulusTooSmallError):
             factorize(n)
 
+    @pytest.mark.parametrize("n", [15.0, True, "15"])
+    def test_non_integer_rejected(self, n):
+        # 15.0 gave Factorization(n=15.0, primes=(3, 5.0), ...), True a
+        # ModulusTooSmallError and "15" a bare TypeError.
+        with pytest.raises(EvenModulusError, match="odd integer"):
+            factorize(n)
+
+    def test_numpy_integers_accepted(self):
+        assert factorize(np.int64(45)) == factorize(45)
+        f = factorize(np.uint16(15))
+        assert f.primes == (3, 5) and type(f.largest_prime) is int
+        assert np.array_equal(pi_perm(f).table, pi_perm(factorize(15)).table)
+
     @pytest.mark.parametrize("n", ODD_SWEEP)
     def test_canonical(self, n):
         f = factorize(n)
@@ -200,6 +213,21 @@ class TestPowerPerm:
         with pytest.raises(NotPrimeError):
             power_perm(p, 3)
 
+    @pytest.mark.parametrize("e", [1.5, True])
+    def test_non_integer_exponent_rejected(self, e):
+        # 1.5 raised a bare TypeError from gcd, and True ran as e = 1.
+        with pytest.raises(NotCoprimeError, match="exponent must be a positive integer"):
+            power_perm(7, e)
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(power_perm(np.int64(7), np.int32(5)).table, power_perm(7, 5).table)
+
+    def test_is_odd_prime_refuses_non_integers(self):
+        # 7.0 passed the trial division.
+        assert not is_odd_prime(7.0)
+        assert not is_odd_prime(True)
+        assert is_odd_prime(7) and is_odd_prime(np.int64(13))
+
     def test_unique_solution_at_prime_scale(self):
         # For every admissible exponent, x -> x**e has the one-solution
         # property: xi(x + a) = c*xi(x) mod p pins down x for each (a, c).
@@ -227,6 +255,11 @@ class TestDefaultExponent:
     def test_not_prime(self):
         with pytest.raises(NotPrimeError):
             default_exponent(9)
+
+    def test_float_refused(self):
+        # A bare TypeError from gcd before.
+        with pytest.raises(NotPrimeError):
+            default_exponent(7.0)
 
 
 class TestPiPerm:
@@ -417,7 +450,9 @@ class TestShiftCounts:
         f, perm = fp
         n = f.n
         units = [c for c in range(1, n) if math.gcd(c, n) == 1]
-        ratios = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=RATIO_CHUNK), label="ratios")
+        # Up to two whole chunks and one ratio more; none at all gives (2, 0, 4).
+        size = data.draw(st.integers(0, 2 * RATIO_CHUNK + 1), label="size")
+        ratios = data.draw(st.lists(st.sampled_from(units), min_size=size, max_size=size), label="ratios")
         t = np.arange(n)
 
         def brute(c):
@@ -425,13 +460,11 @@ class TestShiftCounts:
             pos, neg = counts[n - 1:], counts[:n]  # tau = 0..N-1 and -(N-1)..0
             return [pos.max(), pos.argmax(), neg.max(), neg.argmax() - (n - 1)]
 
-        direct, mirrored = shift_extremes(perm, ratios).tolist()
+        extremes = shift_extremes(perm, ratios)
+        assert extremes.shape == (2, len(ratios), 4)
+        direct, mirrored = extremes.tolist()
         assert direct == [brute(c) for c in ratios]
         assert mirrored == [brute(pow(c, -1, n)) for c in ratios]
-
-    def test_chunk_size_is_bounded(self, perm35):
-        with pytest.raises(ShapeMismatchError):
-            shift_extremes(perm35, [2] * (RATIO_CHUNK + 1))
 
     def test_unique_solution_past_one_chunk(self):
         # p0 - 2 = 255 scalars at N = 257: two chunks of ratios.
