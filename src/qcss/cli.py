@@ -168,10 +168,9 @@ def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
     if not headers:
         raise QcssError("missing '# N=..., k=..., m=..., e=...' header line")
     n, k, m, e = (int(g) for g in headers[-1].groups())
-    _check_cells(n, phases.shape)
-    power_perm(_check_family_indices(n, k).largest_prime, e)  # refuses unless gcd(p - 1, e) = 1
-    _check_in_range(n, m=m)
-    return PhaseMatrix(n, k, m, phases), e
+    mat = PhaseMatrix(n, k, m, phases)
+    power_perm(factorize(n).largest_prime, e)  # refuses unless gcd(p - 1, e) = 1
+    return mat, e
 
 
 def family_to_json_obj(members, n: int, exponent: int, kind: str) -> dict:
@@ -228,10 +227,7 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
     phases.setflags(write=False)  # handed over to the members without a copy
     power_perm(f.largest_prime, exponent)  # refuses unless gcd(p - 1, e) = 1
     if kind == "set" and len(labels) == 1:
-        [(k, m)] = labels
-        _check_family_indices(n, k)
-        _check_in_range(n, m=m)
-        members = [PhaseMatrix(n, k, m, phases[0])]
+        members = [PhaseMatrix(n, *labels[0], phases[0])]
     elif kind in ("ccc", "qcss"):
         family = SequenceFamily(n, kind, phases, k=labels[0][0] if kind == "ccc" and labels else None)
         if labels != [(mat.k, mat.m) for mat in family]:

@@ -74,7 +74,8 @@ def _check_in_range(n: int, **values: int) -> None:
 class PhaseMatrix:
     """One complementary set: N x N integer phases mod N, read-only, of
     dtype np.min_scalar_type(N - 1). A writeable array passed in is copied;
-    the caller's stays writeable."""
+    the caller's stays writeable. An N, k or m that no family member can
+    have raises the error SequenceFamily gives."""
 
     n: int
     k: int
@@ -83,10 +84,12 @@ class PhaseMatrix:
 
     def __post_init__(self) -> None:
         self.phases = _checked_phases(self.phases, (self.n, self.n), self.n)
+        _check_family_indices(self.n, self.k)
+        _check_in_range(self.n, m=self.m)
 
     @classmethod
     def _view(cls, n: int, k: int, m: int, phases: np.ndarray) -> PhaseMatrix:
-        """A member of a family whose array was checked as a whole: no copy, no check."""
+        """A set whose phases and labels were checked already: no copy, no check."""
         mat = object.__new__(cls)
         mat.n, mat.k, mat.m, mat.phases = n, k, m, phases
         return mat
@@ -204,9 +207,9 @@ def phase(k: int, m: int, s: int, t: int, perm: Permutation) -> int:
 def build_set(k: int, m: int, perm: Permutation) -> PhaseMatrix:
     """Phase matrix of one complementary set, rows indexed by s."""
     n = perm.modulus
-    _check_family_indices(n, k)
+    _check_family_indices(n, k)  # before _broadcast, where a huge k overflows
     _check_in_range(n, m=m)
-    return PhaseMatrix(n, k, m, _broadcast(perm, [k], [m])[0])
+    return PhaseMatrix._view(n, k, m, _broadcast(perm, [k], [m])[0])
 
 
 def build_ccc(k: int, perm: Permutation) -> SequenceFamily:

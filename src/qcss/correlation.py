@@ -158,19 +158,22 @@ def _sequence_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def aperiodic_xcorr(u, v, tau: int) -> complex:
-    """Overlap sum sum_t u[t] * conj(v[t + tau]), no wraparound.
-
-    Negative tau slides the window the other way: sum_t u[t - tau] * conj(v[t]).
-    This per-shift form is the ground truth the FFT path is held to.
-    """
-    u, v = _sequence_pair(u, v)
-    n = u.shape[0]
+def _overlap(u: np.ndarray, v: np.ndarray, tau: int) -> complex:
+    """sum_t u[..., t] * conj(v[..., t + tau]) over every row, no wraparound;
+    negative tau slides the window the other way."""
+    n = u.shape[-1]
     if not -n < tau < n:
         raise ShiftOutOfRangeError(f"shift {tau} outside [-(N-1), N-1] for N={n}")
     if tau >= 0:
-        return complex(np.dot(u[: n - tau], np.conj(v[tau:])))
-    return complex(np.dot(u[-tau:], np.conj(v[: n + tau])))
+        return complex(np.sum(u[..., : n - tau] * np.conj(v[..., tau:])))
+    return complex(np.sum(u[..., -tau:] * np.conj(v[..., : n + tau])))
+
+
+def aperiodic_xcorr(u, v, tau: int) -> complex:
+    """Overlap sum sum_t u[t] * conj(v[t + tau]), no wraparound; negative
+    tau slides the window the other way. This per-shift form is the ground
+    truth the FFT path is held to."""
+    return _overlap(*_sequence_pair(u, v), tau)
 
 
 def _fft_length(n: int) -> int:
@@ -203,14 +206,7 @@ def set_xcorr(a: PhaseMatrix, b: PhaseMatrix, tau: int) -> complex:
     """Flock-summed correlation: per-row overlap sums added over all N rows."""
     if a.n != b.n:
         raise LengthMismatchError(f"matrices over different moduli: {a.n} vs {b.n}")
-    n = a.n
-    if not -n < tau < n:
-        raise ShiftOutOfRangeError(f"shift {tau} outside [-(N-1), N-1] for N={n}")
-    ca = rows_to_complex(a)
-    cb = rows_to_complex(b)
-    if tau >= 0:
-        return complex(np.sum(ca[:, : n - tau] * np.conj(cb[:, tau:])))
-    return complex(np.sum(ca[:, -tau:] * np.conj(cb[:, : n + tau])))
+    return _overlap(rows_to_complex(a), rows_to_complex(b), tau)
 
 
 def set_xcorr_profile(a: PhaseMatrix, b: PhaseMatrix) -> CorrelationProfile:
@@ -528,6 +524,8 @@ def delta_max_scan(family, tol: float | None = None, histogram_bins: int = 0) ->
     affect the scan. With histogram_bins > 0 the report also carries a
     magnitude histogram over [0, N^2], counted over the ordered domain.
     """
+    if not _is_index(histogram_bins) or histogram_bins < 0:
+        raise OutOfRangeError(f"histogram_bins must be an integer >= 0, got {histogram_bins!r}")
     phases = _phase_array(family)
     n = phases.shape[-1]
     edges = np.linspace(0.0, float(n * n), histogram_bins + 1)

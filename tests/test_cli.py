@@ -411,6 +411,26 @@ class TestLoaders:
         with pytest.raises(QcssError, match=match):
             matrix_from_csv_text("\n".join([header, *rows]))
 
+    @pytest.mark.parametrize(
+        "k,m,error,message",
+        [
+            (3, 0, "BadFamilyIndexError", "family index k=3 outside [1, 3)"),
+            (1, 15, "OutOfRangeError", "m=15 outside [0, 15)"),
+        ],
+    )
+    @pytest.mark.parametrize("loader", ["csv", "json set"])
+    def test_set_labels_refused_by_the_set(self, loader, k, m, error, message):
+        # The set itself refuses its labels; the loaders keep their error.
+        mat = PhaseMatrix(15, 1, 0, np.zeros((15, 15), dtype=np.int64))
+        obj = json.loads(json.dumps(family_to_json_obj([mat], 15, 3, "set")))
+        obj["members"][0].update(k=k, m=m)
+        with pytest.raises(QcssError) as exc:
+            if loader == "csv":
+                matrix_from_csv_text(matrix_to_csv_text(mat, 3).replace("k=1, m=0", f"k={k}, m={m}"))
+            else:
+                family_from_json_obj(obj)
+        assert (type(exc.value).__name__, str(exc.value)) == (error, message)
+
     def test_bad_json(self, tmp_path):
         for text in ("{not json", "", "\xff\xfe"):
             path = tmp_path / "bad.json"

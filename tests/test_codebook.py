@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcss import (
     BadFamilyIndexError,
+    EvenModulusError,
     OutOfRangeError,
     PhaseMatrix,
     SequenceFamily,
@@ -269,6 +270,26 @@ class TestFamilyType:
             PhaseMatrix(3, 1, 0, np.full((3, 3), 3))
         with pytest.raises(ShapeMismatchError):
             PhaseMatrix(3, 1, 0, np.zeros((3, 4), dtype=np.int64))
+
+    def test_lone_set_refuses_a_modulus_no_family_has(self):
+        with pytest.raises(EvenModulusError):
+            PhaseMatrix(15.0, 99, -3, np.zeros((15, 15), dtype=np.int64))
+
+    @pytest.mark.parametrize("k", [0, 3, True, 1.5], ids=["0", "p0", "True", "1.5"])
+    def test_lone_set_refuses_a_family_index(self, k):
+        with pytest.raises(BadFamilyIndexError) as family:
+            SequenceFamily(15, "ccc", np.zeros((15, 15, 15), dtype=np.int64), k=k)
+        with pytest.raises(BadFamilyIndexError) as lone:
+            PhaseMatrix(15, k, 0, np.zeros((15, 15), dtype=np.int64))
+        assert str(lone.value) == str(family.value) == f"family index k={k} outside [1, 3)"
+
+    @pytest.mark.parametrize("m", [-1, 15])
+    def test_lone_set_refuses_a_set_index(self, m, perm15):
+        with pytest.raises(OutOfRangeError) as built:
+            build_set(1, m, perm15)
+        with pytest.raises(OutOfRangeError) as lone:
+            PhaseMatrix(15, 1, m, np.zeros((15, 15), dtype=np.int64))
+        assert str(lone.value) == str(built.value) == f"m={m} outside [0, 15)"
 
     def test_unequal_to_other_types(self, perm15):
         family = build_ccc(1, perm15)

@@ -6,6 +6,7 @@ import pytest
 from qcss import (
     FamilyMismatchError,
     LengthMismatchError,
+    OutOfRangeError,
     PhaseMatrix,
     SequenceFamily,
     ShiftOutOfRangeError,
@@ -287,6 +288,20 @@ class TestDeltaMaxScan:
         counts, edges = report.histogram
         assert counts.sum() == k * k * 9 - k  # ordered pairs, shifts, minus trivial terms
         assert edges[0] == 0.0 and edges[-1] == pytest.approx(81.0)
+
+    @pytest.mark.parametrize("bins", [-1, 2.5, True])
+    def test_histogram_bins_refused(self, bins, perm15, monkeypatch):
+        monkeypatch.setattr(correlation, "_scan", None)  # refused before the scan
+        with pytest.raises(OutOfRangeError, match="histogram_bins must be an integer >= 0"):
+            delta_max_scan(build_ccc(1, perm15), histogram_bins=bins)
+
+    @pytest.mark.parametrize("bins", [0, 4])
+    def test_histogram_bins_accepted(self, bins, perm15):
+        report = delta_max_scan(build_ccc(1, perm15), histogram_bins=bins)
+        if bins == 0:
+            assert report.histogram is None
+        else:
+            assert len(report.histogram[0]) == bins
 
     def test_empty_family_rejected(self):
         with pytest.raises(LengthMismatchError):

@@ -54,7 +54,7 @@ def random_phases(n, k, seed, plant=None):
 
 def random_members(n, k, seed, plant=None):
     phases = random_phases(n, k, seed, plant)
-    return [PhaseMatrix(n, 1, m, phases[m]) for m in range(k)]
+    return [PhaseMatrix(n, 1, m % n, phases[m]) for m in range(k)]
 
 
 def interset_pair():

@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports (stdlib ast only;
-__init__.py imports in order to re-export), and every private top-level
-name the package defines is read somewhere in it."""
+__init__.py imports in order to re-export), every private top-level name
+the package defines is read somewhere in it, and the test oracle for
+edited pools imports nothing of the package."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,25 @@ def test_checker_finds_unread_private_names():
 
 def test_every_private_name_is_read():
     assert unread_private_names([path.read_text(encoding="utf-8") for path in SOURCES]) == []
+
+
+def imported_modules(source: str) -> list[str]:
+    """The top-level name of every module that source imports, at any depth."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module.partition(".")[0])
+    return sorted(modules)
+
+
+def test_checker_finds_imported_modules():
+    source = "import numpy as np\nimport os.path\nfrom qcss.codebook import x\ndef f():\n    import math\n"
+    assert imported_modules(source) == ["math", "numpy", "os", "qcss"]
+
+
+def test_edit_oracle_is_independent_of_the_package():
+    # The oracle is what the package's engines are held to, so it shares none of their code.
+    oracle = Path(__file__).with_name("edit_oracle.py").read_text(encoding="utf-8")
+    assert "qcss" not in imported_modules(oracle)
