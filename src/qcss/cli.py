@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import re
 import sys
 import warnings
@@ -33,7 +34,7 @@ from .bounds import (
 )
 from .codebook import PhaseMatrix, SequenceFamily, build_set
 from .codebook import _check_family_indices, _check_in_range, _phase_dtype, _steps
-from .errors import OutOfRangeError, PreconditionViolatedError, QcssError
+from .errors import OutOfRangeError, PreconditionViolatedError, QcssError, ShapeMismatchError
 from .modarith import Factorization, default_exponent, factorize, pi_perm, power_perm, verify_unique_solution
 
 EXIT_OK = 0
@@ -145,7 +146,7 @@ def _check_cells(n: int, shape: tuple[int, ...]) -> None:
     division of a huge N runs for minutes, and its cells show at once that
     it is wrong. An even or too small N is left to factorize to name."""
     if n >= 3 and n % 2 and shape != (n, n):
-        raise QcssError(f"phases must be {n}x{n}, got {shape}")
+        raise ShapeMismatchError(f"phases must be {n}x{n}, got {shape}")
 
 
 def matrix_from_csv_text(text: str) -> tuple[PhaseMatrix, int]:
@@ -194,6 +195,33 @@ def _member_text(u: int, mat: PhaseMatrix) -> str:
     _rows_text; generate streams one at a time."""
     rows = _rows_text(mat, ", ", "], [")[: -len("], [")]
     return f'{{"u": {u}, "k": {mat.k}, "m": {mat.m}, "phases": [[{rows}]]}}'
+
+
+_MEMBER_HEAD = re.compile(r'\{"u": ([0-9]{1,19}), "k": ([0-9]{1,19}), "m": ([0-9]{1,19}), "phases": \[\[')
+_BRACKETS = str.maketrans("[]", "  ")
+
+
+def _written_member(text: str, pos: int) -> tuple[dict, int] | None:
+    """(record, end) for the member _member_text wrote at text[pos:], with
+    the record _decode_object gives; None for any other text. The cells are
+    parsed by numpy, and the member is accepted only if _member_text writes
+    it again byte for byte, so json would decode it to the same ints."""
+    head = _MEMBER_HEAD.match(text, pos)
+    end = text.find("]]}", head.end()) if head else -1
+    if end < 0:
+        return None
+    try:  # older numpy warns at a bad token, where numpy 2.4 raises
+        cells = np.fromstring(text[head.end() : end].translate(_BRACKETS), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    n = math.isqrt(cells.size)
+    if not cells.size or n * n != cells.size or cells.min() < 0 or (top := cells.max()) >= n:
+        return None
+    u, k, m = map(int, head.groups())
+    phases = cells.reshape(n, n)
+    if not text.startswith(_member_text(u, PhaseMatrix._view(n, k, m, phases)), pos):
+        return None
+    return {"u": u, "k": k, "m": m, "phases": phases.astype(np.min_scalar_type(top))}, end + len("]]}")
 
 
 def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
@@ -266,9 +294,10 @@ def _load_windowed(fh):
     value when less than half its size is left, and its size grows to twice
     the longest value, so a member is parsed once. A value that ends within
     two characters of the window's end is decoded again after a refill: 10
-    may go on as 105, 1. as 1.5, 1e+ as 1e+5. Any other layout, and any
-    error, goes to json.load of the whole text, so the result or error is
-    always json.load's."""
+    may go on as 105, 1. as 1.5, 1e+ as 1e+5. A member as generate wrote
+    it is parsed by _written_member, any other by json. Any other layout of
+    the object, and any error, goes to json.load of the whole text, so the
+    result or error is always json.load's."""
     decode = json.JSONDecoder(object_pairs_hook=_decode_object).raw_decode
     text, pos, size, eof = "", 0, _WINDOW, False
 
@@ -290,14 +319,17 @@ def _load_windowed(fh):
         pos += 1
         return c
 
-    def value():
+    def member(s: str, at: int) -> tuple:  # as generate writes it, else json's decode
+        return _written_member(s, at) or decode(s, at)
+
+    def value(parse=decode):
         nonlocal pos, size
         peek()
         if not eof and len(text) - pos < size // 2:
             refill()
         while True:
             try:
-                obj, end = decode(text, pos)
+                obj, end = parse(text, pos)
                 if eof or end + 2 < len(text):
                     size, pos = max(size, 2 * (end - pos)), end
                     return obj
@@ -319,7 +351,7 @@ def _load_windowed(fh):
         if type(key) is not str:
             raise ValueError("a key that is not a string")
         take(":")
-        return key, items("[]", value) if key == "members" else value()
+        return key, items("[]", lambda: value(member)) if key == "members" else value()
 
     try:
         pairs = items("{}", pair)

@@ -162,8 +162,8 @@ def _overlap(u: np.ndarray, v: np.ndarray, tau: int) -> complex:
     """sum_t u[..., t] * conj(v[..., t + tau]) over every row, no wraparound;
     negative tau slides the window the other way."""
     n = u.shape[-1]
-    if not -n < tau < n:
-        raise ShiftOutOfRangeError(f"shift {tau} outside [-(N-1), N-1] for N={n}")
+    if not (_is_index(tau) and -n < tau < n):
+        raise ShiftOutOfRangeError(f"shift {tau} is not an integer in [-(N-1), N-1] for N={n}")
     if tau >= 0:
         return complex(np.sum(u[..., : n - tau] * np.conj(v[..., tau:])))
     return complex(np.sum(u[..., -tau:] * np.conj(v[..., : n + tau])))

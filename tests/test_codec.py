@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcss import OutOfRangeError, QcssError, build_ccc, build_qcss, build_set, cli, factorize, pi_perm
+from qcss import OutOfRangeError, QcssError, ShapeMismatchError
+from qcss import build_ccc, build_qcss, build_set, cli, factorize, pi_perm
 from qcss.cli import (
     family_from_json_obj,
     family_to_json_obj,
@@ -246,6 +247,24 @@ def test_json_import_holds_compact_members(pool105):
     assert peak < pool105.stat().st_size
 
 
+def test_generated_members_skip_json(tmp_path, monkeypatch):
+    """At the default window, every member of a generate export is parsed
+    by _written_member, not by json: a writer edit that the parser no
+    longer matches fails here, not only as a slower load."""
+    path = tmp_path / "pool35.json"
+    generate_json(path, 35)
+    parsed = []
+
+    def spy(text, pos, parse=cli._written_member):
+        parsed.append(parse(text, pos))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "_written_member", spy)
+    members, _, _ = load_family_json(path)
+    assert len(parsed) == len(members) == 140
+    assert None not in parsed
+
+
 def bundle_text(edit):
     """A ccc bundle at N = 15 as JSON text, after edit(obj)."""
     perm = pi_perm(factorize(15), 3)
@@ -342,7 +361,19 @@ def test_members_of_different_shapes(shape_edit, u, tmp_path):
     text = bundle_text(lambda obj: shape_edit(obj["members"][u]["phases"]))
     shape = np.shape(json.loads(text)["members"][u]["phases"])
     assert shape != (15, 15)
-    assert both_decoders(text, tmp_path) == [(QcssError, f"phases must be 15x15, got {shape}")] * 2
+    assert both_decoders(text, tmp_path) == [(ShapeMismatchError, f"phases must be 15x15, got {shape}")] * 2
+
+
+def test_wrong_shaped_cells_refused_alike_by_both_loaders(tmp_path):
+    """A "set" bundle and a CSV text, each with 3 x 3 cells under N = 15,
+    are refused with one class and one message."""
+    obj = family_to_json_obj([build_set(1, 0, pi_perm(factorize(15), 3))], 15, 3, "set")
+    obj["members"][0]["phases"] = [[0] * 3] * 3
+    refusal = (ShapeMismatchError, "phases must be 15x15, got (3, 3)")
+    assert both_decoders(json.dumps(obj), tmp_path) == [refusal] * 2
+    with pytest.raises(ShapeMismatchError) as csv:
+        matrix_from_csv_text("# N=15, k=1, m=0, e=3\n" + "0,0,0\n" * 3)
+    assert (type(csv.value), str(csv.value)) == refusal
 
 
 def test_unsigned_member_beside_a_negative_cell(tmp_path):
@@ -371,7 +402,7 @@ def whole_text_outcome(path):
     """The outcome of load_family_json when it decoded the whole text at once."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
         return QcssError, f"{path}: malformed file ({exc})"
     return outcome(lambda: family_from_json_obj(obj))
 
@@ -383,6 +414,14 @@ def reordered(text, members_first):
 
 
 CCC15 = bundle_text(lambda obj: None)
+
+
+def in_members(old, new):
+    """CCC15 with the first old text after the "members" key made new."""
+    at = CCC15.index(old, CCC15.index('"members": '))
+    return CCC15[:at] + new + CCC15[at + len(old) :]
+
+
 # Well-formed bundles, which the reader streams, then layouts and malformed
 # files that only a decode of the whole text names as before.
 STREAMED = {
@@ -393,6 +432,14 @@ STREAMED = {
     "space around": " \n\t" + CCC15 + "\r\n ",
     "a long number and key cut at window edges": '{"x": 1234567890.125e-3, "' + "k" * 40 + '": 0, ' + CCC15[1:],
     "float fields": bundle_text(lambda obj: obj.update(exponent=-1.25e300, p0=10.5)),
+    # Members near the layout generate writes, which only json decodes.
+    "a cell 7.0": in_members(", 7, ", ", 7.0, "),
+    "a cell 7e0": in_members(", 7, ", ", 7e0, "),
+    "a cell -0": in_members(", 0, ", ", -0, "),
+    "two spaces after a comma": in_members(", 7, ", ",  7, "),
+    "k before u": in_members('{"u": 3, "k": 1', '{"k": 1, "u": 3'),
+    "a 3 x 4 member": bundle_text(lambda obj: obj["members"][2].update(phases=[[0] * 4] * 3)),
+    "]]} in a string field": bundle_text(lambda obj: obj["members"][4].update(x="]]}")),
 }
 WHOLE = {
     "members twice, a bad one last": CCC15[:-1] + ', "members": 5}',
@@ -407,6 +454,8 @@ WHOLE = {
     "no members": bundle_text(lambda obj: obj.update(members=[])),
     "an empty object": "{}",
     "an empty file": "",
+    "a cell 07": in_members(", 7, ", ", 07, "),
+    "a u of 4301 digits": in_members('{"u": 3,', '{"u": 1' + "0" * 4300 + ","),
 }
 
 
@@ -513,7 +562,9 @@ def scratch_dir(tmp_path_factory):
 def member_refusal(outcome) -> bool:
     """Whether a decode outcome is one of the refusals of a bad member's cells."""
     return outcome in (RAGGED, BOOLEAN, OUT_OF_RANGE) or (
-        isinstance(outcome, tuple) and outcome[0] is QcssError and outcome[1].startswith("phases must be 9x9, got ")
+        isinstance(outcome, tuple)
+        and outcome[0] is ShapeMismatchError
+        and outcome[1].startswith("phases must be 9x9, got ")
     )
 
 

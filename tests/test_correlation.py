@@ -78,7 +78,7 @@ class TestAperiodicXcorr:
 
     def test_shift_out_of_range(self):
         ones = np.ones(5, dtype=complex)
-        for tau in (5, -5, 99):
+        for tau in (5, -5, 99, 1.5, 2.0, True):
             with pytest.raises(ShiftOutOfRangeError):
                 aperiodic_xcorr(ones, ones, tau)
 
@@ -180,7 +180,7 @@ class TestSetXcorr:
         with pytest.raises(LengthMismatchError):
             set_xcorr_profile(build_set(1, 0, perm15), build_set(1, 0, perm35))
 
-    @pytest.mark.parametrize("tau", [-15, 15, 40])
+    @pytest.mark.parametrize("tau", [-15, 15, 40, 1.5, 2.0, True])
     def test_shift_out_of_range(self, perm15, tau):
         a = build_set(1, 0, perm15)
         with pytest.raises(ShiftOutOfRangeError):
