@@ -197,6 +197,10 @@ def _member_text(u: int, mat: PhaseMatrix) -> str:
     return f'{{"u": {u}, "k": {mat.k}, "m": {mat.m}, "phases": [[{rows}]]}}'
 
 
+# The layout generate writes: json.dumps of the bundle's fields with
+# "members": [] last, cut before its _END, so that it ends in _MEMBERS; then
+# each member's _member_text, joined by _SEP; then _END.
+_MEMBERS, _SEP, _END = ', "members": [', ", ", "]}"
 _MEMBER_HEAD = re.compile(r'\{"u": ([0-9]{1,19}), "k": ([0-9]{1,19}), "m": ([0-9]{1,19}), "phases": \[\[')
 _BRACKETS = str.maketrans("[]", "  ")
 
@@ -207,7 +211,7 @@ def _written_member(text: str, pos: int) -> tuple[dict, int] | None:
     parsed by numpy, and the member is accepted only if _member_text writes
     it again byte for byte, so json would decode it to the same ints."""
     head = _MEMBER_HEAD.match(text, pos)
-    end = text.find("]]}", head.end()) if head else -1
+    end = text.find("}", head.end()) - len("]]") if head else -1  # "}" is rare, "]" in every row
     if end < 0:
         return None
     try:  # older numpy warns at a bad token, where numpy 2.4 raises
@@ -246,18 +250,18 @@ def family_from_json_obj(obj: dict) -> tuple[list[PhaseMatrix], int, str]:
         raise QcssError(f"family bundle lacks the key {exc}") from None
     except TypeError:
         raise QcssError("family bundle members must be a list of objects") from None
+    if not arrays:  # no cells to contradict a huge N before factorize
+        raise QcssError("family bundle has no members")
     for array in arrays:
         _check_cells(n, array.shape)
     f = factorize(n)
-    # After factorize, so every member is N x N; a bundle of no members
-    # gives an empty array for the family checks to refuse.
-    phases = np.array(arrays)
+    phases = np.array(arrays)  # after factorize, so every member is N x N
     phases.setflags(write=False)  # handed over to the members without a copy
     power_perm(f.largest_prime, exponent)  # refuses unless gcd(p - 1, e) = 1
     if kind == "set" and len(labels) == 1:
         members = [PhaseMatrix(n, *labels[0], phases[0])]
     elif kind in ("ccc", "qcss"):
-        family = SequenceFamily(n, kind, phases, k=labels[0][0] if kind == "ccc" and labels else None)
+        family = SequenceFamily(n, kind, phases, k=labels[0][0] if kind == "ccc" else None)
         if labels != [(mat.k, mat.m) for mat in family]:
             raise QcssError(f"members are not the (k, m) of a {kind} family in order")
         members = list(family.members)
@@ -287,84 +291,55 @@ def _read(path: str | Path, decode):
 _WINDOW = 1 << 20  # characters of JSON text read at a time, at first
 
 
-def _load_windowed(fh):
-    """json.load(fh, object_pairs_hook=_decode_object), holding a window of
-    the text, not the file: the top-level object is read key by key and its
-    "members" array one member at a time. The window is refilled before a
-    value when less than half its size is left, and its size grows to twice
-    the longest value, so a member is parsed once. A value that ends within
-    two characters of the window's end is decoded again after a refill: 10
-    may go on as 105, 1. as 1.5, 1e+ as 1e+5. A member as generate wrote
-    it is parsed by _written_member, any other by json. Any other layout of
-    the object, and any error, goes to json.load of the whole text, so the
-    result or error is always json.load's."""
-    decode = json.JSONDecoder(object_pairs_hook=_decode_object).raw_decode
-    text, pos, size, eof = "", 0, _WINDOW, False
+def _generated_bundle(fh) -> dict | None:
+    """The bundle of a file in the layout generate writes, read a window of
+    the text at a time: a head that json.dumps writes again byte for byte,
+    then members that _written_member parses, joined by _SEP, and _END at
+    the end of the file. None for any other text."""
+    text, pos = "", 0
 
-    def refill():
-        nonlocal text, pos, eof
-        more = fh.read(size)
-        text, pos, eof = text[pos:] + more, 0, not more
+    def refill() -> bool:  # at least what is pending, so a window grows geometrically; False at the end
+        nonlocal text, pos
+        more = fh.read(max(_WINDOW, len(text) - pos))
+        text, pos = text[pos:] + more, 0
+        return bool(more)
 
-    def peek() -> str:  # the next non-space character, "" at the end of the file
-        nonlocal pos
-        while (pos := json.decoder.WHITESPACE.match(text, pos).end()) == len(text) and not eof:
-            refill()
-        return text[pos : pos + 1]
+    while (at := text.find(_MEMBERS)) < 0:
+        if "[" in text or not refill():  # generate's head holds no "[" before _MEMBERS
+            return None
+    head = text[: at + len(_MEMBERS)]
+    bundle = json.loads(head + _END)
+    if json.dumps(bundle) != head + _END:
+        return None
+    pos = len(head)
+    while True:
+        # A member as generate writes it ends at its first "}", and the two
+        # characters after it are _SEP or _END.
+        while ((end := text.find("}", pos)) < 0 or len(text) < end + 3) and refill():
+            pass
+        if (found := _written_member(text, pos)) is None:
+            return None
+        record, pos = found
+        bundle["members"].append(record)
+        if not text.startswith(_SEP, pos):
+            return bundle if text[pos:] == _END and not refill() else None
+        pos += len(_SEP)
 
-    def take(chars: str) -> str:
-        nonlocal pos
-        if not (c := peek()) or c not in chars:
-            raise ValueError(chars)
-        pos += 1
-        return c
 
-    def member(s: str, at: int) -> tuple:  # as generate writes it, else json's decode
-        return _written_member(s, at) or decode(s, at)
-
-    def value(parse=decode):
-        nonlocal pos, size
-        peek()
-        if not eof and len(text) - pos < size // 2:
-            refill()
-        while True:
-            try:
-                obj, end = parse(text, pos)
-                if eof or end + 2 < len(text):
-                    size, pos = max(size, 2 * (end - pos)), end
-                    return obj
-            except ValueError as exc:  # JSONDecodeError, or an int of too many digits
-                # Only a string, or a token cut at the window's end, can be cured by more text.
-                if eof or getattr(exc, "pos", 0) < len(text) - 16 and not str(exc).startswith("Unterminated string"):
-                    raise
-            refill()
-
-    def items(brackets: str, item) -> list:  # of a non-empty array or object
-        take(brackets[0])
-        found = [item()]
-        while take("," + brackets[1]) == ",":
-            found.append(item())
-        return found
-
-    def pair() -> tuple:
-        key = value()
-        if type(key) is not str:
-            raise ValueError("a key that is not a string")
-        take(":")
-        return key, items("[]", lambda: value(member)) if key == "members" else value()
-
-    try:
-        pairs = items("{}", pair)
-        if peek():
-            raise ValueError("extra data")
-        return dict(pairs)
-    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
-        fh.seek(0)
-        return json.load(fh, object_pairs_hook=_decode_object)
+def _load_json(fh):
+    """json.load(fh, object_pairs_hook=_decode_object). A file in generate's
+    layout is streamed by _generated_bundle; any other text, and any error,
+    goes to json.load of the whole text, so the result or error is always
+    json.load's."""
+    with contextlib.suppress(ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        if (bundle := _generated_bundle(fh)) is not None:
+            return bundle
+    fh.seek(0)
+    return json.load(fh, object_pairs_hook=_decode_object)
 
 
 def load_family_json(path: str | Path) -> tuple[list[PhaseMatrix], int, str]:
-    return family_from_json_obj(_read(path, _load_windowed))
+    return family_from_json_obj(_read(path, _load_json))
 
 
 def load_matrix_csv(path: str | Path) -> tuple[PhaseMatrix, int]:
@@ -415,12 +390,11 @@ def _cmd_generate(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         # The bytes of json.dumps(family_to_json_obj(all sets, ...)), one
         # member's text at a time: json.dump would run the pure-Python encoder.
-        head = json.dumps(family_to_json_obj([], n, e, kind) | {"set_size": len(labels)})
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(head[: -len("]}")])
+            fh.write(json.dumps(family_to_json_obj([], n, e, kind) | {"set_size": len(labels)})[: -len(_END)])
             for u, mat in enumerate(sets):
-                fh.write((", " if u else "") + _member_text(u, mat))
-            fh.write("]}")
+                fh.write((_SEP if u else "") + _member_text(u, mat))
+            fh.write(_END)
         written = [out]
     elif kind == "set":
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -276,6 +276,11 @@ def verify_unique_solution(f: Factorization, perm: Permutation) -> UniqueSolutio
     x solves the equation for exactly one tau, namely (x' - x) mod N with
     x' the partner of x, so the cyclic count at tau is the shift count
     |S_tau| plus |S_(tau-N)|, for a chunk of scalars at a time.
+
+    The property covers the ratios c in {2, ..., p0-1}, but the pool's
+    delta_max depends on every class k1 * k2^-1 of distinct families (at
+    N = 35, 2 * 3^-1 = 24 mod 35, not in {2, 3, 4}), and it is N exactly
+    when every aperiodic |S_tau| <= 1 over those classes.
     """
     _check_modulus(f, perm)
     n, p0 = f.n, f.least_prime

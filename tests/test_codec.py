@@ -3,7 +3,8 @@
 The writers must produce the same bytes as the plain per-cell formula,
 both round trips must be lossless, and the CSV reader must keep accepting
 the loose layouts it always accepted and refusing malformed cells. The
-JSON export and import hold one member at a time, not the whole bundle.
+JSON export holds one member at a time, not the whole bundle, and the
+import of generate's layout a window of the text.
 """
 
 import contextlib
@@ -283,7 +284,7 @@ def outcome(decode):
     return [(mat, mat.phases.dtype) for mat in members], e, kind
 
 
-def windowed_load(path, streamed=True):
+def windowed_load(path, streamed=False):
     """The outcome of load_family_json(path), checked to be the same with
     the reader's window cut to each of 1 to 7 characters. If streamed, no
     window may fall back to json.load of the whole text."""
@@ -299,7 +300,7 @@ def windowed_load(path, streamed=True):
 
 
 def both_decoders(text, tmp_path):
-    """The outcome of load_family_json, streamed at every window, and of
+    """The outcome of load_family_json, at every window, and of
     family_from_json_obj on json.loads output, for one bundle text."""
     (tmp_path / "bundle.json").write_text(text)
     return [windowed_load(tmp_path / "bundle.json"), outcome(lambda: family_from_json_obj(json.loads(text)))]
@@ -422,9 +423,17 @@ def in_members(old, new):
     return CCC15[:at] + new + CCC15[at + len(old) :]
 
 
-# Well-formed bundles, which the reader streams, then layouts and malformed
-# files that only a decode of the whole text names as before.
-STREAMED = {
+@pytest.mark.parametrize("kind", ["set", "ccc", "qcss"])
+def test_generated_bundle_streams_at_every_window(kind, tmp_path):
+    """generate's own output never reaches json.load, at any window."""
+    path = tmp_path / "bundle.json"
+    generate_json(path, 15, *{"set": ["--k", "2", "--m", "14"], "ccc": ["--k", "2"], "qcss": []}[kind])
+    assert windowed_load(path, streamed=True) == whole_text_outcome(path)
+
+
+# Layouts near generate's and far from it, and malformed files: streamed or
+# read whole, each loads as a decode of the whole text does.
+LAYOUTS = {
     "members first": reordered(CCC15, True),
     "members last": reordered(CCC15, False),
     "members twice, the last kept": '{"members": [{"u": 9}], ' + CCC15[1:],
@@ -432,7 +441,7 @@ STREAMED = {
     "space around": " \n\t" + CCC15 + "\r\n ",
     "a long number and key cut at window edges": '{"x": 1234567890.125e-3, "' + "k" * 40 + '": 0, ' + CCC15[1:],
     "float fields": bundle_text(lambda obj: obj.update(exponent=-1.25e300, p0=10.5)),
-    # Members near the layout generate writes, which only json decodes.
+    # Members near the layout generate writes.
     "a cell 7.0": in_members(", 7, ", ", 7.0, "),
     "a cell 7e0": in_members(", 7, ", ", 7e0, "),
     "a cell -0": in_members(", 0, ", ", -0, "),
@@ -440,8 +449,14 @@ STREAMED = {
     "k before u": in_members('{"u": 3, "k": 1', '{"k": 1, "u": 3'),
     "a 3 x 4 member": bundle_text(lambda obj: obj["members"][2].update(phases=[[0] * 4] * 3)),
     "]]} in a string field": bundle_text(lambda obj: obj["members"][4].update(x="]]}")),
-}
-WHOLE = {
+    "a cell 07": in_members(", 7, ", ", 07, "),
+    "a u of 4301 digits": in_members('{"u": 3,', '{"u": 1' + "0" * 4300 + ","),
+    # Heads near the one generate writes.
+    "a newline after the end": CCC15 + "\n",
+    "head keys in another order": json.dumps({"n": 15, **json.loads(CCC15)}),
+    "n 15.0": bundle_text(lambda obj: obj.update(n=15.0)),
+    "the members key in a string field": json.dumps({"note": ', "members": [', **json.loads(CCC15)}),
+    # Malformed files.
     "members twice, a bad one last": CCC15[:-1] + ', "members": 5}',
     "trailing data": CCC15 + " x",
     "a second object": CCC15 + "{}",
@@ -454,23 +469,29 @@ WHOLE = {
     "no members": bundle_text(lambda obj: obj.update(members=[])),
     "an empty object": "{}",
     "an empty file": "",
-    "a cell 07": in_members(", 7, ", ", 07, "),
-    "a u of 4301 digits": in_members('{"u": 3,', '{"u": 1' + "0" * 4300 + ","),
 }
 
 
-@pytest.mark.parametrize(
-    "text,streamed",
-    [(text, True) for text in STREAMED.values()] + [(text, False) for text in WHOLE.values()],
-    ids=[*STREAMED, *WHOLE],
-)
-def test_windowed_reader_decodes_as_the_whole_text(text, streamed, tmp_path):
+@pytest.mark.parametrize("text", LAYOUTS.values(), ids=LAYOUTS)
+def test_windowed_reader_decodes_as_the_whole_text(text, tmp_path):
     """Any layout, and any malformed file, gives what a decode of the whole
     text gave, at every window size: the same members or the same refusal,
     and for bad JSON the same char offset."""
     path = tmp_path / "bundle.json"
     path.write_text(text, encoding="utf-8")
-    assert windowed_load(path, streamed) == whole_text_outcome(path)
+    assert windowed_load(path) == whole_text_outcome(path)
+
+
+@pytest.mark.parametrize("kind", ["set", "ccc", "qcss"])
+def test_no_members_refused_before_factorize(kind, tmp_path):
+    """No cells contradict a huge odd N, whose trial division would run for
+    minutes: a bundle of no members is refused first, with one message."""
+    n = 10**18 + 9
+    obj = family_to_json_obj([], 15, 3, kind) | {"n": n, "flock_size": n, "length": n}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(obj))
+    refusal = (QcssError, "family bundle has no members")
+    assert outcome(lambda: load_family_json(path)) == outcome(lambda: family_from_json_obj(obj)) == refusal
 
 
 def test_syntax_error_past_the_first_window(pool105, tmp_path):
